@@ -16,7 +16,7 @@ to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
 
 from .hexagon import HexElement, hex_normal_form
 from .intlat import IntMatrix, rank_over_rationals
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, json_int
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
 
@@ -92,7 +92,7 @@ class GClass:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(((int(t["p"]), int(t["q"])), int(t["c"]))
+        return cls(((json_int(t, "p"), json_int(t, "q")), json_int(t, "c"))
                    for t in obj.get("terms", []))
 
 

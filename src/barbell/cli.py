@@ -8,9 +8,7 @@ validation error, 3 internal invariant violation.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import selfcheck as selfcheck_mod
 from .classes import GClass, delta, f_closed, f_level, independence_rank, twist_class, w3
@@ -26,19 +24,6 @@ class ValidationError(Exception):
     pass
 
 
-def _max_workers():
-    raw = os.environ.get("BARBELL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValidationError("BARBELL_THREADS must be a positive integer")
-    return n
-
-
 def _parse_json(text, what):
     try:
         return json.loads(text)
@@ -48,6 +33,8 @@ def _parse_json(text, what):
 
 def _load(cls, text, what):
     obj = _parse_json(text, what)
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms", []), list):
+        raise ValidationError('bad %s payload: expected an object with a "terms" list' % what)
     try:
         return cls.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -169,6 +156,8 @@ def _fk_matrix(k):
 
 def _cmd_fk(args):
     k = args.k
+    if k < 2:
+        raise ValidationError("--k must be >= 2 (F_k needs k >= 2)")
     mat = _fk_matrix(k)
     payload = {"k": k,
                "entries": [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
@@ -229,12 +218,7 @@ def _cmd_independence(args):
     if args.kmax < args.kmin:
         raise ValidationError("--kmax must be >= --kmin")
     ks = list(range(args.kmin, args.kmax + 1))
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(delta, ks))
-    else:
-        deltas = [delta(k) for k in ks]
+    deltas = [delta(k) for k in ks]
     rank, matrix = independence_rank(deltas, args.n)
     independent = rank == len(ks)
     payload = {"kmin": args.kmin, "kmax": args.kmax, "n": args.n,
@@ -395,6 +379,8 @@ def main(argv=None):
     try:
         if args.format == "csv" and args.command != "fk":
             raise ValidationError("CSV output is provided for the fk matrix only")
+        if getattr(args, "n", None) is not None and args.n < 3:
+            raise ValidationError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
         result = _HANDLERS[args.command](args)
         payload, text = result[0], result[1]
         csv_rows = result[2] if len(result) > 2 else None

@@ -9,7 +9,10 @@ The relator family touches, at (p, q), exactly the four monomials
 
 generate the dihedral group of the hexagon.  Every relator is supported
 inside a single orbit, so the quotient splits as a direct sum over
-orbits whose structure is read off a Smith normal form per orbit.
+orbits.  A relator is a fixed signed sum of group elements applied to
+(p, q), and orbit_of lists an orbit as fixed group words applied to a
+representative whose stabilizer is fixed by the orbit's shape, so each
+orbit's Smith form depends only on its shape and n mod 2.
 """
 
 from .intlat import IntMatrix, cokernel_structure, smith_normal_form
@@ -17,8 +20,6 @@ from .laurent import AffineMap2, LaurentPoly2
 
 R_MAP = AffineMap2((1, -1, 1, 0))
 S_MAP = AffineMap2((0, -1, -1, 0))
-
-_snf_cache = {}
 
 
 def on_degenerate_line(a, b):
@@ -133,21 +134,23 @@ def orbit_structure(orbit, n):
     return cokernel_structure(orbit_relators(orbit, n))
 
 
-def _orbit_snf(orbit, n):
-    # benign data race under threads: entries are deterministic, so a
-    # concurrent recompute just stores the same value twice
-    key = (orbit.rep, n % 2)
-    hit = _snf_cache.get(key)
-    if hit is None:
-        d, _, v = smith_normal_form(orbit_relators(orbit, n))
-        moduli = []
-        diag = d.diagonal()
-        for i in range(len(orbit.elements)):
-            m = diag[i] if i < len(diag) else 0
-            moduli.append(m)
-        hit = (v, tuple(moduli))
-        _snf_cache[key] = hit
-    return hit
+def _shape(orbit):
+    if orbit.otype != "six":
+        return orbit.otype
+    a, b = orbit.rep
+    return "vertex" if a == 0 or b == 0 or a == b else "edge"
+
+
+def _smith_coordinates(orbit, n):
+    """(V, moduli): the Smith column transform and one modulus per orbit element."""
+    d, _, v = smith_normal_form(orbit_relators(orbit, n))
+    return v, tuple(d.diagonal() + [0] * (d.cols - min(d.rows, d.cols)))
+
+
+# (shape, n % 2) -> (V, moduli) from one orbit of each shape; never mutated
+_SHAPE_SNF = {(_shape(orbit), n % 2): _smith_coordinates(orbit, n)
+              for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
+              for n in (3, 4)}
 
 
 class HexElement:
@@ -220,7 +223,7 @@ def hex_normal_form(x):
         by_orbit.setdefault(orb.rep, (orb, {}))[1][mono] = c
     out = {}
     for rep, (orbit, monos) in by_orbit.items():
-        v, moduli = _orbit_snf(orbit, x.n)
+        v, moduli = _SHAPE_SNF[(_shape(orbit), x.n % 2)]
         vec = [monos.get(el, 0) for el in orbit.elements]
         # coordinates in the Smith basis: (vec . V) entry-wise mod d_i
         coords = []

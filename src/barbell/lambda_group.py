@@ -16,7 +16,7 @@ For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
 from .intlat import IntMatrix, cokernel_structure
-from .laurent import LaurentPoly1
+from .laurent import LaurentPoly1, json_int
 
 
 class LambdaContext:
@@ -253,7 +253,7 @@ class AlphaCombination:
 
     @classmethod
     def from_json(cls, obj):
-        return cls((int(t["i"]), int(t["c"])) for t in obj.get("terms", []))
+        return cls((json_int(t, "i"), json_int(t, "c")) for t in obj.get("terms", []))
 
 
 def cover_pullback(m, x):

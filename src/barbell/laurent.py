@@ -6,6 +6,14 @@ Zero coefficients are never stored, so equality is structural.
 """
 
 
+def json_int(term, key):
+    """term[key] of a JSON payload: an integer or decimal string, never bool or float."""
+    value = term[key]
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("%s must be an integer or a decimal string, got %r" % (key, value))
+    return int(value)
+
+
 class LaurentPoly1:
     """Integer Laurent polynomial in one variable."""
 
@@ -100,7 +108,7 @@ class LaurentPoly1:
 
     @classmethod
     def from_json(cls, obj):
-        return cls((int(t["e"]), int(t["c"])) for t in obj.get("terms", []))
+        return cls((json_int(t, "e"), json_int(t, "c")) for t in obj.get("terms", []))
 
 
 class AffineMap2:
@@ -252,4 +260,5 @@ class LaurentPoly2:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(((int(t["e1"]), int(t["e2"])), int(t["c"])) for t in obj.get("terms", []))
+        return cls(((json_int(t, "e1"), json_int(t, "e2")), json_int(t, "c"))
+                   for t in obj.get("terms", []))

@@ -61,19 +61,6 @@ def test_independence_text(capsys):
     assert out.strip() == "rank 7 / 7: independent"
 
 
-def test_independence_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("BARBELL_THREADS", "3")
-    code, out, _ = run_cli(capsys, ["independence", "--kmin", "4", "--kmax", "8"])
-    assert code == 0
-    monkeypatch.setenv("BARBELL_THREADS", "1")
-    code2, out2, _ = run_cli(capsys, ["independence", "--kmin", "4", "--kmax", "8"])
-    assert out == out2
-    monkeypatch.setenv("BARBELL_THREADS", "zero")
-    code3, _, err = run_cli(capsys, ["independence", "--kmin", "4", "--kmax", "8"])
-    assert code3 == 2
-    assert "BARBELL_THREADS" in err
-
-
 def test_lambda_reduce_round_trip(capsys):
     poly = LaurentPoly1({2: 1, 0: -1})
     code, out, _ = run_cli(capsys, ["lambda", "reduce", "--w0", "1", "--n", "3",
@@ -150,10 +137,33 @@ def test_whitehead_commands(capsys):
 
 
 def test_validation_exit_codes(capsys):
-    assert run_cli(capsys, ["delta", "--k", "2"])[0] == 2
-    assert run_cli(capsys, ["twist", "--k", "5", "--v", "1,1", "--w", "1,1,1,1"])[0] == 2
-    assert run_cli(capsys, ["lambda", "reduce", "--w0", "1", "--n", "3",
-                            "--poly", "not json"])[0] == 2
+    hex_reduce = ["hex", "reduce", "--n", "3", "--poly"]
+    for argv in (["delta", "--k", "2"],
+                 ["twist", "--k", "5", "--v", "1,1", "--w", "1,1,1,1"],
+                 ["lambda", "reduce", "--w0", "1", "--n", "3", "--poly", "not json"],
+                 ["fk", "--k", "0"],
+                 ["fk", "--k", "1"],
+                 ["hex", "reduce", "--n", "2", "--poly", '{"terms": []}'],
+                 ["orbit", "structure", "--alpha", "1", "--beta", "0", "--n", "0"],
+                 ["whitehead", "facet", "--facet", "t3=1", "--alpha", "2", "--beta", "5",
+                  "--n", "2"],
+                 ["whitehead", "relators", "--n", "2", "--window", "0,1"],
+                 ["independence", "--kmin", "4", "--kmax", "6", "--n", "2"],
+                 ["delta", "--k", "4", "--w3", "--n=-4"],
+                 ["lambda", "structure", "--w0", "1", "--n", "2", "--window", "0,1"],
+                 hex_reduce + ["[1]"],
+                 hex_reduce + ['{"terms": {"e1": 0}}'],
+                 hex_reduce + ['{"terms": [1]}'],
+                 hex_reduce + ['{"terms": [{"e1": 2.5, "e2": 0, "c": "1"}]}'],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": true, "c": "1"}]}'],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": 1e3}]}'],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "x"}]}'],
+                 ["lambda", "reduce", "--w0", "1", "--n", "3",
+                  "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
+                 ["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": true, "c": "1"}]}']):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -194,12 +204,7 @@ def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):
         return rel
 
     monkeypatch.setattr(hexagon, "k_relator", corrupt)
-    hexagon._snf_cache.clear()
-    try:
-        code, out, err = run_cli(capsys, ["selfcheck", "--kmax", "4"])
-    finally:
-        monkeypatch.undo()
-        hexagon._snf_cache.clear()
+    code, out, err = run_cli(capsys, ["selfcheck", "--kmax", "4"])
     assert code == 3
     assert "invariant violated: relator orbit-locality" in err
     assert "FAIL relator orbit-locality" in out

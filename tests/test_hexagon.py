@@ -1,10 +1,11 @@
 import random
 
+import barbell.hexagon as hexagon
 from barbell.hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                              basis_change_13_to_12, hex_normal_form, k_relator,
                              on_degenerate_line, orbit_of, orbit_relators,
                              orbit_structure)
-from barbell.intlat import IntegerRowSpan, QuotientStructure
+from barbell.intlat import IntegerRowSpan, QuotientStructure, smith_normal_form
 from barbell.laurent import LaurentPoly2
 
 
@@ -108,6 +109,16 @@ def test_structure_classification_sweep():
             else:
                 assert odd == QuotientStructure(3, (2,)), orbit.rep
                 assert even == QuotientStructure(4), orbit.rep
+
+
+def test_shape_table_matches_per_orbit_smith_form():
+    orbits = {orbit_of(a, b) for a in range(-30, 31) for b in range(-30, 31)}
+    for orbit in orbits:
+        for n in range(3, 7):
+            d, _, v = smith_normal_form(orbit_relators(orbit, n))
+            diag = d.diagonal() + [0] * len(orbit.elements)
+            want = (v, tuple(diag[:len(orbit.elements)]))
+            assert hexagon._SHAPE_SNF[(hexagon._shape(orbit), n % 2)] == want, (orbit.rep, n)
 
 
 def test_relator_orbit_locality():

@@ -16,84 +16,17 @@ to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
 
 from .hexagon import HexElement, hex_normal_form
 from .intlat import IntMatrix, rank_over_rationals
-from .laurent import LaurentPoly2, json_int
+from .laurent import LaurentPoly2, Terms
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
 
 
-class GClass:
+class GClass(Terms):
     """Integer combination of the primitive classes G(p,q)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                k = (k[0], k[1])
-                c2 = d.get(k, 0) + c
-                if c2:
-                    d[k] = c2
-                else:
-                    d.pop(k, None)
-        self.terms = d
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def add(self, other):
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = d.get(k, 0) + c
-            if c2:
-                d[k] = c2
-            else:
-                del d[k]
-        out = GClass.__new__(GClass)
-        out.terms = d
-        return out
-
-    __add__ = add
-
-    def neg(self):
-        out = GClass.__new__(GClass)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    __neg__ = neg
-
-    def __sub__(self, other):
-        return self.add(other.neg())
-
-    def scale(self, a):
-        out = GClass.__new__(GClass)
-        out.terms = {} if a == 0 else {k: a * c for k, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, GClass) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return "".join("%+d*G(%d,%d)" % (self.terms[k], k[0], k[1])
-                       for k in sorted(self.terms))
-
-    def to_json(self):
-        return {"terms": [{"p": p, "q": q, "c": str(self.terms[(p, q)])}
-                          for p, q in sorted(self.terms)]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(((json_int(t, "p"), json_int(t, "q")), json_int(t, "c"))
-                   for t in obj.get("terms", []))
+    __slots__ = ()
+    FIELDS = ("p", "q")
+    TERM = "%+d*G(%d,%d)"
 
 
 def g(p, q):
@@ -171,6 +104,8 @@ def twist_class(k, v, w):
     Twisting scales row p of F_k by v_p and column q by w_q, so the total
     class is sum_{p,q} v_p w_q F_k(p,q).
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if len(v) != k - 1 or len(w) != k - 1:
         raise ValueError("twist vectors must have length k-1")
     acc = GClass.zero()

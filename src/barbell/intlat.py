@@ -53,9 +53,6 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, self.data)
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

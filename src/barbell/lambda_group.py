@@ -16,7 +16,7 @@ For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
 from .intlat import IntMatrix, cokernel_structure
-from .laurent import LaurentPoly1, json_int
+from .laurent import LaurentPoly1, Terms
 
 
 class LambdaContext:
@@ -111,23 +111,12 @@ def lambda_reduce(p, ctx):
     w0, n = ctx.w0, ctx.n
     fold_sign = 1 if n % 2 else -1
     killed = ctx.killed
-    acc = {}
-    for k, c in p.terms.items():
-        if k in killed:
-            continue
-        if 2 * k < w0 - 1:
-            k, c = w0 - 1 - k, fold_sign * c
-        c2 = acc.get(k, 0) + c
-        if c2:
-            acc[k] = c2
-        else:
-            acc.pop(k, None)
+    free = LaurentPoly1((w0 - 1 - k, fold_sign * c) if 2 * k < w0 - 1 else (k, c)
+                        for k, c in p.terms.items() if k not in killed)
     bit = 0
     if n % 2 == 0 and (w0 - 1) % 2 == 0:
-        fixed = (w0 - 1) // 2
-        if fixed in acc:
-            bit = acc.pop(fixed) & 1
-    return LambdaElement(ctx, LaurentPoly1(acc), bit)
+        bit = free.terms.pop((w0 - 1) // 2, 0) & 1
+    return LambdaElement(ctx, free, bit)
 
 
 def relator_matrix(ctx, lo, hi):
@@ -200,60 +189,18 @@ def w2_arc_reduce(p):
     return LaurentPoly1(d)
 
 
-class AlphaCombination:
+class AlphaCombination(Terms):
     """Integer combination of the alpha generators, indices >= 1."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    FIELDS = ("i",)
+    TERM = "%+d*a%d"
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for i, c in (terms.items() if isinstance(terms, dict) else terms):
-                if i < 1:
-                    raise ValueError("alpha indices are positive")
-                c2 = d.get(i, 0) + c
-                if c2:
-                    d[i] = c2
-                else:
-                    d.pop(i, None)
-        self.terms = d
-
-    def is_zero(self):
-        return not self.terms
-
-    def add(self, other):
-        d = dict(self.terms)
-        for i, c in other.terms.items():
-            c2 = d.get(i, 0) + c
-            if c2:
-                d[i] = c2
-            else:
-                del d[i]
-        out = AlphaCombination.__new__(AlphaCombination)
-        out.terms = d
-        return out
-
-    __add__ = add
-
-    def scale(self, a):
-        out = AlphaCombination.__new__(AlphaCombination)
-        out.terms = {} if a == 0 else {i: a * c for i, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, AlphaCombination) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return "".join("%+d*a%d" % (self.terms[i], i) for i in sorted(self.terms))
-
-    def to_json(self):
-        return {"terms": [{"i": i, "c": str(self.terms[i])} for i in sorted(self.terms)]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls((json_int(t, "i"), json_int(t, "c")) for t in obj.get("terms", []))
+        terms = list(terms.items() if isinstance(terms, dict) else terms or ())
+        if any(i < 1 for i, _ in terms):
+            raise ValueError("alpha indices are positive")
+        Terms.__init__(self, terms)
 
 
 def cover_pullback(m, x):
@@ -264,16 +211,7 @@ def cover_pullback(m, x):
     """
     if m < 1:
         raise ValueError("cover degree must be >= 1")
-    out = {}
-    for i, c in x.terms.items():
-        if i % m == 0:
-            j = i // m
-            c2 = out.get(j, 0) + m * c
-            if c2:
-                out[j] = c2
-            else:
-                del out[j]
-    return AlphaCombination(out)
+    return AlphaCombination((i // m, m * c) for i, c in x.terms.items() if i % m == 0)
 
 
 def cover_kernel_iterate(x, m, depth):

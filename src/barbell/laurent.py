@@ -1,8 +1,9 @@
-"""Sparse Laurent polynomials over arbitrary-precision integers.
+"""Sparse term algebra over arbitrary-precision integers.
 
-Polynomials in one variable t, or in two commuting invertible variables
-(t1, t2), with integer coefficients stored sparsely as exponent -> coeff.
-Zero coefficients are never stored, so equality is structural.
+`Terms` is the free Z-module arithmetic shared by every sparse class in
+the package: integer coefficients stored as key -> coeff with no zero
+ever stored.  Here it backs the Laurent polynomials in one variable t
+and in two commuting invertible variables (t1, t2).
 """
 
 
@@ -14,8 +15,14 @@ def json_int(term, key):
     return int(value)
 
 
-class LaurentPoly1:
-    """Integer Laurent polynomial in one variable."""
+class Terms:
+    """Sparse integer combination of basis keys, stored as key -> coeff.
+
+    Zero coefficients are never stored, so equality is structural.  A
+    subclass names its JSON key fields in FIELDS (one field: the key is an
+    int; several: a tuple of ints) and its printed term in TERM, a format
+    applied to (coeff, *key).  Arithmetic never mixes two subclasses.
+    """
 
     __slots__ = ("terms",)
 
@@ -34,22 +41,13 @@ class LaurentPoly1:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls({k: c}) if c else cls()
-
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, k):
-        return self.terms.get(k, 0)
-
-    def support(self):
-        return sorted(self.terms)
-
     def add(self, other):
-        if not isinstance(other, LaurentPoly1):
-            raise TypeError("arity mismatch: expected a one-variable polynomial")
+        cls = type(self)
+        if type(other) is not cls:
+            raise TypeError("cannot add %s to %s" % (type(other).__name__, cls.__name__))
         d = dict(self.terms)
         for k, c in other.terms.items():
             c = d.get(k, 0) + c
@@ -57,16 +55,16 @@ class LaurentPoly1:
                 d[k] = c
             else:
                 del d[k]
-        p = LaurentPoly1.__new__(LaurentPoly1)
-        p.terms = d
-        return p
+        out = object.__new__(cls)
+        out.terms = d
+        return out
 
     __add__ = add
 
     def neg(self):
-        p = LaurentPoly1.__new__(LaurentPoly1)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+        out = object.__new__(type(self))
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
 
     __neg__ = neg
 
@@ -76,39 +74,54 @@ class LaurentPoly1:
     __sub__ = sub
 
     def scale(self, a):
-        if a == 0:
-            return LaurentPoly1()
-        p = LaurentPoly1.__new__(LaurentPoly1)
-        p.terms = {k: a * c for k, c in self.terms.items()}
-        return p
-
-    def bar(self):
-        """The involution t^k -> t^(-k), extended Z-linearly."""
-        p = LaurentPoly1.__new__(LaurentPoly1)
-        p.terms = {-k: c for k, c in self.terms.items()}
-        return p
+        out = object.__new__(type(self))
+        out.terms = {k: a * c for k, c in self.terms.items()} if a else {}
+        return out
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly1) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
+    def _key_tuples(self):
+        # (key fields as a tuple, coeff) in key order
+        one = len(self.FIELDS) == 1
+        return [((k,) if one else k, c) for k, c in sorted(self.terms.items())]
+
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            bits.append(("%+d*t^%d" % (c, k)))
-        return "".join(bits)
+        return "".join(self.TERM % ((c,) + k) for k, c in self._key_tuples()) or "0"
 
     def to_json(self):
-        return {"terms": [{"e": k, "c": str(self.terms[k])} for k in sorted(self.terms)]}
+        return {"terms": [dict(zip(self.FIELDS, k), c=str(c)) for k, c in self._key_tuples()]}
 
     @classmethod
     def from_json(cls, obj):
-        return cls((json_int(t, "e"), json_int(t, "c")) for t in obj.get("terms", []))
+        fields = cls.FIELDS
+        if len(fields) == 1:
+            return cls((json_int(t, fields[0]), json_int(t, "c"))
+                       for t in obj.get("terms", []))
+        return cls((tuple([json_int(t, f) for f in fields]), json_int(t, "c"))
+                   for t in obj.get("terms", []))
+
+
+class LaurentPoly1(Terms):
+    """Integer Laurent polynomial in one variable."""
+
+    __slots__ = ()
+    FIELDS = ("e",)
+    TERM = "%+d*t^%d"
+
+    @classmethod
+    def monomial(cls, k, c=1):
+        return cls({k: c})
+
+    def coeff(self, k):
+        return self.terms.get(k, 0)
+
+    def bar(self):
+        """The involution t^k -> t^(-k), extended Z-linearly."""
+        return LaurentPoly1({-k: c for k, c in self.terms.items()})
 
 
 class AffineMap2:
@@ -152,74 +165,19 @@ class AffineMap2:
         return "AffineMap2(%r, %r)" % (self.m, self.b)
 
 
-class LaurentPoly2:
+class LaurentPoly2(Terms):
     """Integer Laurent polynomial in two commuting invertible variables."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                k = (k[0], k[1])
-                c = d.get(k, 0) + c
-                if c:
-                    d[k] = c
-                else:
-                    d.pop(k, None)
-        self.terms = d
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
+    FIELDS = ("e1", "e2")
+    TERM = "%+d*t1^%d*t2^%d"
 
     @classmethod
     def monomial(cls, a, b, c=1):
-        return cls({(a, b): c}) if c else cls()
-
-    def is_zero(self):
-        return not self.terms
+        return cls({(a, b): c})
 
     def coeff(self, a, b):
         return self.terms.get((a, b), 0)
-
-    def support(self):
-        return sorted(self.terms)
-
-    def add(self, other):
-        if not isinstance(other, LaurentPoly2):
-            raise TypeError("arity mismatch: expected a two-variable polynomial")
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            c = d.get(k, 0) + c
-            if c:
-                d[k] = c
-            else:
-                del d[k]
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p.terms = d
-        return p
-
-    __add__ = add
-
-    def neg(self):
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    __neg__ = neg
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    __sub__ = sub
-
-    def scale(self, a):
-        if a == 0:
-            return LaurentPoly2()
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p.terms = {k: a * c for k, c in self.terms.items()}
-        return p
 
     def reindex(self, amap, sign=1):
         """Send each monomial (a, b) to amap(a, b), coefficients times sign."""
@@ -227,38 +185,4 @@ class LaurentPoly2:
             amap = AffineMap2(*amap)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        d = {}
-        for (a, b), c in self.terms.items():
-            k = amap.apply(a, b)
-            c2 = d.get(k, 0) + sign * c
-            if c2:
-                d[k] = c2
-            else:
-                d.pop(k, None)
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p.terms = d
-        return p
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for a, b in sorted(self.terms):
-            c = self.terms[(a, b)]
-            bits.append("%+d*t1^%d*t2^%d" % (c, a, b))
-        return "".join(bits)
-
-    def to_json(self):
-        return {"terms": [{"e1": a, "e2": b, "c": str(self.terms[(a, b)])}
-                          for a, b in sorted(self.terms)]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(((json_int(t, "e1"), json_int(t, "e2")), json_int(t, "c"))
-                   for t in obj.get("terms", []))
+        return LaurentPoly2((amap.apply(a, b), sign * c) for (a, b), c in self.terms.items())

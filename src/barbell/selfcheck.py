@@ -453,6 +453,8 @@ class Params:
     __slots__ = ("kmax", "samples", "seed")
 
     def __init__(self, kmax=12, samples=60, seed=20210426):
+        if kmax < 3:
+            raise ValueError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
         self.kmax = kmax
         self.samples = samples
         self.seed = seed

@@ -49,7 +49,7 @@ class DegNElem:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = dict(terms) if terms else {}
+        self.terms = {k: c for k, c in dict(terms or ()).items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -124,8 +124,8 @@ class BracketElem:
 
     def __init__(self, n, triple=None, pairs=None):
         self.n = n
-        self.triple = dict(triple) if triple else {}
-        self.pairs = dict(pairs) if pairs else {}
+        self.triple = {k: c for k, c in dict(triple or ()).items() if c}
+        self.pairs = {k: c for k, c in dict(pairs or ()).items() if c}
 
     def is_zero(self):
         return not self.triple and not self.pairs

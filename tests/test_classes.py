@@ -99,6 +99,8 @@ def test_delta_equals_twist():
 def test_twist_validation_and_ones():
     with pytest.raises(ValueError):
         twist_class(5, [1, 1], [1, 1, 1, 1])
+    with pytest.raises(ValueError):
+        twist_class(1, [], [])
     for k in (4, 7):
         ones = [1] * (k - 1)
         assert twist_class(k, ones, ones).is_zero()

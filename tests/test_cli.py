@@ -143,6 +143,9 @@ def test_validation_exit_codes(capsys):
                  ["lambda", "reduce", "--w0", "1", "--n", "3", "--poly", "not json"],
                  ["fk", "--k", "0"],
                  ["fk", "--k", "1"],
+                 ["twist", "--k", "1", "--v=", "--w="],
+                 ["selfcheck", "--kmax", "1"],
+                 ["selfcheck", "--kmax", "-5"],
                  ["hex", "reduce", "--n", "2", "--poly", '{"terms": []}'],
                  ["orbit", "structure", "--alpha", "1", "--beta", "0", "--n", "0"],
                  ["whitehead", "facet", "--facet", "t3=1", "--alpha", "2", "--beta", "5",

@@ -191,3 +191,5 @@ def test_cover_kernel_iterate():
 def test_alpha_combination_validation():
     with pytest.raises(ValueError):
         AlphaCombination({0: 1})
+    with pytest.raises(ValueError):  # checked on raw input, zero coefficient or not
+        AlphaCombination({0: 0})

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from barbell.classes import GClass
+from barbell.lambda_group import AlphaCombination
 from barbell.laurent import AffineMap2, LaurentPoly1, LaurentPoly2
 
 R = AffineMap2((1, -1, 1, 0))   # (a, b) -> (a - b, a)
@@ -94,3 +96,47 @@ def test_json_round_trip_preserves_big_coefficients():
     q = LaurentPoly2({(2, -1): 10 ** 30})
     assert LaurentPoly2.from_json(q.to_json()) == q
     assert q.to_json()["terms"][0]["c"] == str(10 ** 30)
+
+
+# one key per subclass shape: (class, key maker, another Terms subclass)
+TERMS_CASES = [
+    (LaurentPoly1, lambda i: i - 3, LaurentPoly2),
+    (LaurentPoly2, lambda i: (i - 3, 2 - i), GClass),
+    (GClass, lambda i: (i - 3, 2 - i), LaurentPoly2),
+    (AlphaCombination, lambda i: i + 1, LaurentPoly1),
+]
+
+
+@pytest.mark.parametrize("cls,key,other", TERMS_CASES,
+                         ids=[c[0].__name__ for c in TERMS_CASES])
+def test_terms_contract(cls, key, other):
+    rng = random.Random(cls.__name__)
+
+    def rand():
+        return cls([(key(rng.randrange(6)), rng.randrange(-4, 5)) for _ in range(8)])
+
+    assert cls({key(0): 0}).terms == {} and cls({key(0): 0}) == cls.zero()
+    assert cls([(key(1), 2), (key(1), -2)]).is_zero()
+    for _ in range(50):
+        x, y = rand(), rand()
+        for out in (x + y, x - y, -x, x.scale(3), x.scale(0), x.neg(), x.sub(y)):
+            assert type(out) is cls
+            assert all(out.terms.values())
+        assert x + y == y + x
+        assert (x - y) + y == x
+        assert (x + (-x)).is_zero() and x.scale(0).is_zero()
+        assert x.scale(-2) == x.neg() + x.neg()
+        assert hash(x + y) == hash(y + x)
+        assert cls.from_json(x.to_json()) == x
+    big = cls({key(0): 10 ** 40, key(4): -(10 ** 39 + 7)})
+    assert cls.from_json(big.to_json()) == big
+    assert [set(t) for t in big.to_json()["terms"]] == [set(cls.FIELDS) | {"c"}] * 2
+    assert repr(cls()) == "0"
+    x = cls({key(1): 1})
+    y = other(dict(x.terms))
+    assert x != y and y != x
+    with pytest.raises(TypeError):
+        x.add(y)
+    with pytest.raises(TypeError):
+        x + other()
+

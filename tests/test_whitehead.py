@@ -18,6 +18,15 @@ def test_monomial_collapse():
     assert el == DegNElem(3, {(1, 2, -1): 1})
 
 
+def test_zero_coefficients_are_dropped():
+    assert DegNElem(3, {(1, 2, 0): 0}) == DegNElem(3)
+    assert DegNElem(3, {(1, 2, 0): 0}).is_zero()
+    assert repr(DegNElem(3, {(1, 2, 0): 0, (1, 3, 1): 2})) == "+2*t1^1.w13"
+    el = BracketElem(3, triple={(0, 0): 0}, pairs={(1, 2, 0, 1): 0})
+    assert el == BracketElem(3) and el.is_zero()
+    assert BracketElem(3, triple={(0, 0): 0, (1, 2): -1}) == triple(3, {(1, 2): -1})
+
+
 def test_flip_sign_depends_on_parity():
     assert deg_n_gen(2, 1, n=3) == DegNElem(3, {(1, 2, 0): 1})
     assert deg_n_gen(2, 1, n=4) == DegNElem(4, {(1, 2, 0): -1})

@@ -27,7 +27,7 @@ class ValidationError(Exception):
 def _parse_json(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError("bad %s JSON: %s" % (what, exc))
 
 
@@ -250,12 +250,21 @@ class InternalInvariantError(Exception):
         self.lines = lines
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+def _common_options(**defaults):
+    # an option left unset takes its value from `defaults`, or is not set
+    # at all, so that a nested subparser does not overwrite the value its
+    # parent level parsed
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "csv", "text"))
     common.add_argument("--output", metavar="FILE")
     common.add_argument("--seed", type=int, help="accepted for harness "
                         "compatibility; all computation is deterministic")
+    common.set_defaults(**defaults)
+    return common
+
+
+def build_parser():
+    common = _common_options(format="text", output=None, seed=None)
 
     top = argparse.ArgumentParser(prog="barbell", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -297,7 +306,8 @@ def build_parser():
     orb.add_argument("--alpha", type=int)
     orb.add_argument("--beta", type=int)
     orb_sub = orb.add_subparsers(dest="action", required=False)
-    p = orb_sub.add_parser("structure", parents=[common])
+    p = orb_sub.add_parser("structure", parents=[_common_options()],
+                           argument_default=argparse.SUPPRESS)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--n", type=int)
@@ -367,8 +377,12 @@ def _render(args, payload, text, csv_rows=None):
 
 def _emit(args, rendered):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise ValidationError("cannot write --output %s: %s"
+                                  % (args.output, exc.strerror or exc))
     else:
         sys.stdout.write(rendered)
 
@@ -392,7 +406,10 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
-        _emit(args, _render(args, exc.payload, exc.lines))
+        try:
+            _emit(args, _render(args, exc.payload, exc.lines))
+        except ValidationError as err:
+            print("error: %s" % err, file=sys.stderr)
         print("invariant violated: %s" % exc.name, file=sys.stderr)
         return 3
     except AssertionError as exc:

@@ -6,13 +6,20 @@ ever stored.  Here it backs the Laurent polynomials in one variable t
 and in two commuting invertible variables (t1, t2).
 """
 
+import re
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def json_int(term, key):
-    """term[key] of a JSON payload: an integer or decimal string, never bool or float."""
+    """term[key] of a JSON payload: an integer, or a decimal string of an
+    optional "-" and ASCII digits only; never bool, float, "+1", "1_0" or " 1"."""
     value = term[key]
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s must be an integer or a decimal string, got %r" % (key, value))
-    return int(value)
+    return value
 
 
 class Terms:

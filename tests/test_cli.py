@@ -3,8 +3,9 @@ import json
 import pytest
 
 import barbell.hexagon as hexagon
-from barbell.classes import GClass, delta
+from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
+from barbell.intlat import IntMatrix
 from barbell.laurent import LaurentPoly1, LaurentPoly2
 
 
@@ -61,6 +62,24 @@ def test_independence_text(capsys):
     assert out.strip() == "rank 7 / 7: independent"
 
 
+def test_independence_json_sparse_matrix(capsys):
+    code, out, _ = run_cli(capsys, ["independence", "--kmin", "4", "--kmax", "10",
+                                    "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["rank"], payload["count"], payload["independent"]) == (7, 7, True)
+    rank, want = independence_rank([delta(k) for k in range(4, 11)], 3)
+    assert payload["rank"] == rank
+    got = payload["matrix"]
+    assert set(got) == {"rows", "cols", "entries"}
+    assert got["entries"] == sorted(got["entries"])
+    assert all(v != "0" for _, _, v in got["entries"])
+    m = IntMatrix(got["rows"], got["cols"])
+    for i, j, v in got["entries"]:
+        m.data[i][j] = int(v)
+    assert m == want
+
+
 def test_lambda_reduce_round_trip(capsys):
     poly = LaurentPoly1({2: 1, 0: -1})
     code, out, _ = run_cli(capsys, ["lambda", "reduce", "--w0", "1", "--n", "3",
@@ -101,6 +120,21 @@ def test_orbit_commands(capsys):
     assert json.loads(out)["structure"] == {"free_rank": 4, "torsion": []}
 
 
+def test_orbit_options_at_either_level(capsys):
+    # options given before `structure` must survive the subparser's defaults
+    tail = ["--alpha", "1", "--beta", "2", "--n", "3"]
+    for fmt in ([], ["--format", "json"]):
+        code, want, _ = run_cli(capsys, ["orbit", "structure"] + fmt + tail)
+        assert code == 0
+        for argv in (["orbit"] + fmt + ["structure"] + tail,
+                     ["orbit", "--alpha", "1", "--beta", "2"] + fmt + ["structure", "--n", "3"],
+                     ["orbit", "--alpha", "1"] + fmt + ["structure", "--beta", "2", "--n", "3"]):
+            code, out, _ = run_cli(capsys, argv)
+            assert (code, out) == (0, want), argv
+        if fmt:
+            assert json.loads(want)["structure"] == {"free_rank": 3, "torsion": [2]}
+
+
 def test_orbit_missing_flag_is_validation_error(capsys):
     code, _, err = run_cli(capsys, ["orbit", "--alpha", "1"])
     assert code == 2
@@ -136,7 +170,7 @@ def test_whitehead_commands(capsys):
     assert len(rels[(1, 0)]) == 4
 
 
-def test_validation_exit_codes(capsys):
+def test_validation_exit_codes(capsys, tmp_path):
     hex_reduce = ["hex", "reduce", "--n", "3", "--poly"]
     for argv in (["delta", "--k", "2"],
                  ["twist", "--k", "5", "--v", "1,1", "--w", "1,1,1,1"],
@@ -161,6 +195,11 @@ def test_validation_exit_codes(capsys):
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": true, "c": "1"}]}'],
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": 1e3}]}'],
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "x"}]}'],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "1_0"}]}'],
+                 hex_reduce + ['{"terms": [{"e1": " 7", "e2": 0, "c": "1"}]}'],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "\u0663"}]}'],
+                 hex_reduce + ["[" * 50000],
+                 ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "x.json")],
                  ["lambda", "reduce", "--w0", "1", "--n", "3",
                   "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
                  ["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": true, "c": "1"}]}']):

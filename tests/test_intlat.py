@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from barbell.intlat import (IntMatrix, IntegerRowSpan, QuotientStructure,
                             cokernel_structure, determinant, in_row_span,
@@ -90,11 +91,79 @@ def test_rank_examples():
     assert rank_over_rationals(IntMatrix(2, 2, [[1, 2], [2, 4]])) == 1
 
 
+def sparse_matrix(rng, rows, cols, density, max_entry=30):
+    return IntMatrix(rows, cols, [[rng.randrange(-max_entry, max_entry + 1)
+                                   if rng.random() < density else 0
+                                   for _ in range(cols)] for _ in range(rows)])
+
+
+def block_matrix(rng, shapes, shared=0):
+    # blocks stacked on the diagonal; with shared > 0, each block also
+    # spills into the first `shared` columns of the next block
+    rows = sum(r for r, _ in shapes)
+    cols = sum(c for _, c in shapes)
+    m = IntMatrix(rows, cols)
+    r0 = c0 = 0
+    for r, c in shapes:
+        width = min(c + shared, cols - c0)
+        block = sparse_matrix(rng, r, width, rng.choice((0.3, 0.7, 1.0)))
+        for i in range(r):
+            m.data[r0 + i][c0:c0 + width] = block.data[i]
+        r0, c0 = r0 + r, c0 + c
+    return m
+
+
 def test_rank_against_fraction_elimination():
     rng = random.Random(77)
     for _ in range(80):
         m = rand_matrix(rng, max_dim=8, max_entry=30)
         assert rank_over_rationals(m) == fraction_rank(m)
+    for _ in range(60):
+        # sparse: many zero rows and columns
+        m = sparse_matrix(rng, rng.randrange(1, 16), rng.randrange(1, 16),
+                          rng.choice((0.05, 0.15, 0.3)))
+        assert rank_over_rationals(m) == fraction_rank(m)
+    for _ in range(60):
+        shapes = [(rng.randrange(1, 4), rng.randrange(1, 7))
+                  for _ in range(rng.randrange(1, 8))]
+        for shared in (0, 1, 2):
+            m = block_matrix(rng, shapes, shared)
+            assert rank_over_rationals(m) == fraction_rank(m)
+        # the independence shape: one 1 x 6 block per row
+        m = block_matrix(rng, [(1, 6)] * 12)
+        assert rank_over_rationals(m) == fraction_rank(m)
+    assert rank_over_rationals(IntMatrix(0, 5)) == 0
+    assert rank_over_rationals(IntMatrix(4, 0)) == 0
+
+
+def permutation_determinant(m):
+    # independent oracle: the Leibniz expansion over all permutations
+    total = 0
+    for perm in permutations(range(m.rows)):
+        inversions = sum(1 for i in range(m.rows) for j in range(i + 1, m.rows)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m.data[i][j]
+        total += term
+    return total
+
+
+def test_determinant_against_permutation_expansion():
+    import pytest
+    rng = random.Random(53)
+    assert determinant(IntMatrix(0, 0)) == 1
+    for n in range(7):
+        for _ in range(12 if n < 6 else 3):
+            m = sparse_matrix(rng, n, n, rng.choice((0.3, 0.7, 1.0)))
+            assert determinant(m) == permutation_determinant(m)
+            assert isinstance(determinant(m), int)
+            if n >= 2:
+                # singular: the last row is a combination of earlier ones
+                m.data[-1] = [2 * a - 3 * b for a, b in zip(m.data[0], m.data[n - 2])]
+                assert determinant(m) == permutation_determinant(m) == 0
+    with pytest.raises(ValueError):
+        determinant(IntMatrix(2, 3))
 
 
 def test_cokernel_examples():

@@ -20,7 +20,7 @@ from .laurent import LaurentPoly1, LaurentPoly2
 from .whitehead import derive_R_relators, facet_map, pair_bracket
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -368,8 +368,6 @@ def _render(args, payload, text, csv_rows=None):
     if args.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
-        if csv_rows is None:
-            raise ValidationError("CSV output is provided for the fk matrix only")
         return "".join(",".join(cell.replace(",", ";") for cell in row) + "\n"
                        for row in csv_rows)
     return "".join(line + "\n" for line in text)
@@ -399,9 +397,6 @@ def main(argv=None):
         payload, text = result[0], result[1]
         csv_rows = result[2] if len(result) > 2 else None
         _emit(args, _render(args, payload, text, csv_rows))
-    except ValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

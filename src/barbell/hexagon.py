@@ -7,17 +7,22 @@ The relator family touches, at (p, q), exactly the four monomials
     r: (a, b) -> (a-b, a)        (order 6)
     s: (a, b) -> (-b, -a)        (involution, s r s = r^-1)
 
-generate the dihedral group of the hexagon.  Every relator is supported
-inside a single orbit, so the quotient splits as a direct sum over
-orbits.  A relator is a fixed signed sum of group elements applied to
-(p, q), and orbit_of lists an orbit as fixed group words applied to a
-representative whose stabilizer is fixed by the orbit's shape, so each
-orbit's Smith form depends only on its shape and n mod 2.
+generate the dihedral group of the hexagon, whose twelve elements are
+r^i and r^i s.  So orbit_of writes an orbit down in closed form, the six
+r-images of a point and their s-images, with no search, and
+hex_normal_form reduces each orbit block of its input once.  Every
+relator is supported inside a single orbit, so the quotient splits as a
+direct sum over orbits.  A relator is a fixed signed sum of group
+elements applied to (p, q), and orbit_of lists an orbit as fixed group
+words applied to a representative whose stabilizer is fixed by the
+orbit's shape, so each orbit's Smith form depends only on its shape and
+n mod 2.
 """
 
 from .intlat import IntMatrix, cokernel_structure, smith_normal_form
 from .laurent import AffineMap2, LaurentPoly2
 
+# r and s as maps: the independent reference the closed-form orbits are checked against
 R_MAP = AffineMap2((1, -1, 1, 0))
 S_MAP = AffineMap2((0, -1, -1, 0))
 
@@ -54,42 +59,27 @@ class HexOrbit:
                 "elements": [list(v) for v in self.elements]}
 
 
+def _ring(a, b):
+    """r^0 .. r^5 of (a, b)."""
+    return [(a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)]
+
+
 def orbit_of(a, b):
     """Orbit of (a, b) under the hexagon group, canonically ordered.
 
-    The representative is the lexicographically least point; elements are
-    listed as r^0..r^5 of the representative followed by the s-images of
-    that traversal (duplicates skipped), so six-orbits come out as a pure
-    r-cycle.
+    The orbit is the r-ring of (a, b) together with the r-ring of its
+    s-image.  The representative is the lexicographically least point;
+    elements are listed as r^0..r^5 of the representative followed by the
+    s-images of that traversal (duplicates skipped), so six-orbits come
+    out as a pure r-cycle.
     """
-    pts = {(a, b)}
-    frontier = [(a, b)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in (R_MAP, S_MAP):
-                w = m.apply(*v)
-                if w not in pts:
-                    pts.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    rep = min(pts)
-    order = []
-    v = rep
-    for _ in range(6):
-        if v not in order:
-            order.append(v)
-        v = R_MAP.apply(*v)
-    for u in list(order):
-        w = S_MAP.apply(*u)
-        if w not in order:
-            order.append(w)
-    if len(order) != len(pts):
-        raise AssertionError("orbit traversal missed points at %r" % ((a, b),))
-    otype = {1: "origin", 6: "six", 12: "twelve"}.get(len(pts))
+    rep = min(_ring(a, b) + _ring(-b, -a))
+    ring = _ring(*rep)
+    elements = tuple(dict.fromkeys(ring + [(-y, -x) for x, y in ring]))
+    otype = {1: "origin", 6: "six", 12: "twelve"}.get(len(elements))
     if otype is None:
-        raise AssertionError("orbit of %r has impossible size %d" % ((a, b), len(pts)))
-    return HexOrbit(rep, tuple(order), otype)
+        raise AssertionError("orbit of %r has impossible size %d" % ((a, b), len(elements)))
+    return HexOrbit(rep, elements, otype)
 
 
 def k_relator(p, q, n):
@@ -217,23 +207,19 @@ class HexNormalForm:
 
 def hex_normal_form(x):
     """Canonical form of a HexElement in the quotient by the relators."""
-    by_orbit = {}
-    for mono, c in x.poly.terms.items():
-        orb = orbit_of(*mono)
-        by_orbit.setdefault(orb.rep, (orb, {}))[1][mono] = c
+    terms = x.poly.terms
+    seen = set()
     out = {}
-    for rep, (orbit, monos) in by_orbit.items():
+    for mono in terms:
+        if mono in seen:
+            continue
+        orbit = orbit_of(*mono)
+        seen.update(orbit.elements)
         v, moduli = _SHAPE_SNF[(_shape(orbit), x.n % 2)]
-        vec = [monos.get(el, 0) for el in orbit.elements]
+        vec = IntMatrix(1, len(orbit.elements), [[terms.get(el, 0) for el in orbit.elements]])
         # coordinates in the Smith basis: (vec . V) entry-wise mod d_i
-        coords = []
-        for i in range(len(orbit.elements)):
-            y = sum(vec[k] * v.data[k][i] for k in range(len(vec)) if vec[k])
-            m = moduli[i]
-            if m == 1:
-                continue
-            coords.append((y % m if m else y, m))
-        out[rep] = tuple(coords)
+        out[orbit.rep] = tuple((y % m if m else y, m)
+                               for y, m in zip(vec.mul(v).data[0], moduli) if m != 1)
     return HexNormalForm(out)
 
 
@@ -250,6 +236,5 @@ def basis_change_12_to_13(poly):
     return poly.reindex(_CHART, -1)
 
 
-def basis_change_13_to_12(poly):
-    """Inverse chart change; the map is its own exponent inverse."""
-    return poly.reindex(_CHART, -1)
+# the chart change is an involution, so it is its own inverse
+basis_change_13_to_12 = basis_change_12_to_13

@@ -164,9 +164,9 @@ def w2_theta(k, ctx):
     return lambda_reduce(LaurentPoly1({k: 1, k - 1: -1}), ctx)
 
 
-def w2_gamma(k, ctx):
-    """Value of the k-th strand-connecting family; same formula as theta."""
-    return lambda_reduce(LaurentPoly1({k: 1, k - 1: -1}), ctx)
+# gamma_k, the k-th strand-connecting family, takes the same value
+# t^k - t^(k-1) as the half-ball family theta_k, so they share one function.
+w2_gamma = w2_theta
 
 
 def w2_alpha(i, ctx):
@@ -220,7 +220,8 @@ def cover_kernel_iterate(x, m, depth):
         raise ValueError("depth must be >= 1")
     cur = x
     for _ in range(depth):
-        cur = cover_pullback(m, cur)
-        if cur.is_zero():
-            return True
+        nxt = cover_pullback(m, cur)
+        if nxt == cur:
+            break  # a fixed point (0, or anything when m = 1) stays put
+        cur = nxt
     return cur.is_zero()

@@ -156,15 +156,6 @@ class AffineMap2:
         by = -(i21 * self.b[0] + i22 * self.b[1])
         return AffineMap2((i11, i12, i21, i22), (bx, by))
 
-    def compose(self, other):
-        # self after other
-        a11, a12, a21, a22 = self.m
-        b11, b12, b21, b22 = other.m
-        m = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-        bx, by = self.apply(*other.b)
-        return AffineMap2(m, (bx, by))
-
     def __eq__(self, other):
         return isinstance(other, AffineMap2) and self.m == other.m and self.b == other.b
 
@@ -188,8 +179,6 @@ class LaurentPoly2(Terms):
 
     def reindex(self, amap, sign=1):
         """Send each monomial (a, b) to amap(a, b), coefficients times sign."""
-        if not isinstance(amap, AffineMap2):
-            amap = AffineMap2(*amap)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return LaurentPoly2((amap.apply(a, b), sign * c) for (a, b), c in self.terms.items())

@@ -19,6 +19,10 @@ from .laurent import AffineMap2, LaurentPoly1, LaurentPoly2
 from .whitehead import DegNElem, bracket, deg_n_gen, facet_map, pair_bracket
 
 
+SEED = 20210426  # base seed of every sampled check
+SAMPLES = 60      # random polynomials per (W0, n) in the lambda oracle check
+
+
 class CheckFailure(Exception):
     pass
 
@@ -43,7 +47,7 @@ def _no_zero_terms(poly):
 
 
 def check_laurent_algebra(params):
-    rng = random.Random(params.seed)
+    rng = random.Random(SEED)
     for _ in range(40):
         p, q, r = (_rand_poly1(rng) for _ in range(3))
         if (p + q) + r != p + (q + r) or p + q != q + p:
@@ -65,7 +69,7 @@ def check_laurent_algebra(params):
 
 
 def check_snf_certificate(params):
-    rng = random.Random(params.seed + 1)
+    rng = random.Random(SEED + 1)
     for _ in range(25):
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
@@ -86,7 +90,7 @@ def check_snf_certificate(params):
 
 def check_cokernel_invariance(params):
     from .intlat import cokernel_structure
-    rng = random.Random(params.seed + 2)
+    rng = random.Random(SEED + 2)
     for _ in range(20):
         rows = rng.randrange(2, 6)
         cols = rng.randrange(1, 6)
@@ -106,7 +110,7 @@ def check_cokernel_invariance(params):
 
 
 def check_lambda_oracle(params):
-    rng = random.Random(params.seed + 3)
+    rng = random.Random(SEED + 3)
     for w0 in range(-6, 7):
         for n in (3, 4, 5, 6):
             ctx = LambdaContext(w0, n)
@@ -115,7 +119,7 @@ def check_lambda_oracle(params):
             for row in m.data:
                 span.add(row)
             idx = {k: i for i, k in enumerate(exps)}
-            for _ in range(params.samples):
+            for _ in range(SAMPLES):
                 p = _rand_poly1(rng)
                 vec = {idx[k]: c for k, c in p.terms.items()}
                 if lambda_reduce(p, ctx).is_zero() != span.contains(vec):
@@ -125,7 +129,7 @@ def check_lambda_oracle(params):
 
 
 def check_lambda_additivity(params):
-    rng = random.Random(params.seed + 4)
+    rng = random.Random(SEED + 4)
     for w0 in (-5, -2, 0, 1, 3, 5):
         for n in (3, 4):
             ctx = LambdaContext(w0, n)
@@ -159,7 +163,7 @@ def check_theta_span(params):
 
 
 def check_cover_multiplicativity(params):
-    rng = random.Random(params.seed + 5)
+    rng = random.Random(SEED + 5)
     for _ in range(60):
         x = AlphaCombination({rng.randrange(1, 40): rng.randrange(-5, 6)
                               for _ in range(rng.randrange(0, 5))})
@@ -171,7 +175,7 @@ def check_cover_multiplicativity(params):
 
 
 def check_facet_velocity_independence(params):
-    rng = random.Random(params.seed + 6)
+    rng = random.Random(SEED + 6)
     for n in (3, 4):
         for _ in range(12):
             a, b = rng.randrange(-4, 5), rng.randrange(-4, 5)
@@ -194,7 +198,7 @@ def check_cyclic_identity(params):
 
 
 def check_t_action_compatibility(params):
-    rng = random.Random(params.seed + 7)
+    rng = random.Random(SEED + 7)
     pairs = ((1, 2), (1, 3), (2, 3))
     for n in (3, 4):
         for _ in range(25):
@@ -245,7 +249,7 @@ def check_relator_family_equivalence(params):
 
 
 def check_orbit_partition(params):
-    rng = random.Random(params.seed + 8)
+    rng = random.Random(SEED + 8)
     for _ in range(200):
         v = (rng.randrange(-30, 31), rng.randrange(-30, 31))
         w = v
@@ -263,9 +267,14 @@ def check_orbit_partition(params):
         a = (rng.randrange(-8, 9), rng.randrange(-8, 9))
         b = (rng.randrange(-8, 9), rng.randrange(-8, 9))
         oa, ob = orbit_of(*a), orbit_of(*b)
-        inter = set(oa.elements) & set(ob.elements)
-        if inter and set(oa.elements) != set(ob.elements):
+        ea, eb = set(oa.elements), set(ob.elements)
+        if ea & eb and ea != eb:
             _fail("orbit partition", "orbits neither equal nor disjoint")
+        for v, els in ((a, ea), (b, eb)):
+            if (v not in els or {R_MAP.apply(*u) for u in els} != els
+                    or {S_MAP.apply(*u) for u in els} != els):
+                _fail("orbit partition",
+                      "orbit of %r misses it or is not closed under r and s" % (v,))
         want = "origin" if a == (0, 0) else ("six" if hexagon.on_degenerate_line(*a) else "twelve")
         if oa.otype != want:
             _fail("orbit partition", "otype of %r is %s, expected %s" % (a, oa.otype, want))
@@ -284,7 +293,7 @@ def check_relator_orbit_locality(params):
 
 
 def check_normal_form_soundness(params):
-    rng = random.Random(params.seed + 9)
+    rng = random.Random(SEED + 9)
     for n in (3, 4):
         for _ in range(40):
             x, y = _rand_poly2(rng, -4, 4), _rand_poly2(rng, -4, 4)
@@ -374,7 +383,7 @@ def check_delta_expansion(params):
 
 
 def check_w3_hexagon_vanishing(params):
-    rng = random.Random(params.seed + 10)
+    rng = random.Random(SEED + 10)
     for n in (3, 4):
         sgn = 1 if n % 2 else -1
         for _ in range(100):
@@ -386,7 +395,7 @@ def check_w3_hexagon_vanishing(params):
 
 
 def check_basis_change_consistency(params):
-    rng = random.Random(params.seed + 11)
+    rng = random.Random(SEED + 11)
     eps = None
     for _ in range(100):
         p, q = rng.randrange(-12, 13), rng.randrange(-12, 13)
@@ -405,7 +414,7 @@ def check_basis_change_consistency(params):
 
 
 def check_json_round_trip(params):
-    rng = random.Random(params.seed + 12)
+    rng = random.Random(SEED + 12)
     for _ in range(30):
         p1 = _rand_poly1(rng)
         if LaurentPoly1.from_json(p1.to_json()) != p1:
@@ -450,14 +459,12 @@ CHECKS = (
 
 
 class Params:
-    __slots__ = ("kmax", "samples", "seed")
+    __slots__ = ("kmax",)
 
-    def __init__(self, kmax=12, samples=60, seed=20210426):
+    def __init__(self, kmax=12):
         if kmax < 3:
             raise ValueError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
         self.kmax = kmax
-        self.samples = samples
-        self.seed = seed
 
 
 def run(params=None, report=None):

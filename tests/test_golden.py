@@ -1,0 +1,98 @@
+"""Golden stdout digests: fixed argv must keep printing the same bytes.
+
+Each row is an argv and the sha256 of its stdout.  A change that moves
+any output byte fails here; if the change is meant to, the digest is
+recomputed and the contract change is recorded.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from barbell.cli import main
+
+
+def _payload(terms):
+    return json.dumps({"terms": terms})
+
+
+# origin (0,0); vertex-six orbits of (1,0) and (5,5); edge-six orbits of
+# (2,1) and (-1,1); twelve-orbits of (3,1), (2,-1) and (-2,5)
+HEX = _payload([
+    {"e1": 0, "e2": 0, "c": "3"},
+    {"e1": 1, "e2": 0, "c": "-2"},
+    {"e1": 0, "e2": 1, "c": "5"},
+    {"e1": 5, "e2": 5, "c": "-3"},
+    {"e1": 2, "e2": 1, "c": "4"},
+    {"e1": 1, "e2": 2, "c": "-1"},
+    {"e1": -1, "e2": 1, "c": "7"},
+    {"e1": 3, "e2": 1, "c": "6"},
+    {"e1": 1, "e2": 3, "c": "-9"},
+    {"e1": 2, "e2": -1, "c": "1"},
+    {"e1": -2, "e2": 5, "c": "123456789012345678901234567890"},
+])
+CHART = _payload([{"e1": 3, "e2": 1, "c": "1"}, {"e1": -2, "e2": 4, "c": "-5"},
+                  {"e1": 0, "e2": 0, "c": "2"}])
+POLY1 = _payload([{"e": 2, "c": "1"}, {"e": 0, "c": "-1"}, {"e": -3, "c": "4"},
+                  {"e": 7, "c": "-2"}])
+ALPHA = _payload([{"i": 4, "c": "1"}, {"i": 6, "c": "-3"}, {"i": 9, "c": "2"}])
+FK = ["fk", "--k", "12", "--per-level", "--check-skew", "--sum"]
+
+GOLDEN = [
+    (FK + ["--format", "json"],
+     "e0a35e7bd44906273e882edc44468356d75e64a68767bac26d86b5507d0e8473"),
+    (FK + ["--format", "csv"],
+     "6541970ade13c0ac18b01bd0d35b3c4a30639247891771991b69829a7d5cc6c4"),
+    (FK + ["--format", "text"],
+     "07b6c623917408f3bd910c7b54931c400ba93a7b3c65fe25ff63ab305bf786c9"),
+    (["delta", "--k", "9", "--expand", "--w3"],
+     "877f25bc09a55f31a321efa4c1d0cbb462d45fb5ee77474272832dce448ba060"),
+    (["delta", "--k", "9", "--expand", "--w3", "--format", "json"],
+     "d1c2cb9506a07602c5528936927ea9251fc06883073a2b36cb7e48eed58f0655"),
+    (["independence", "--kmin", "4", "--kmax", "40", "--format", "json"],
+     "3c651955beea823e2915c6aa28f9b028ca4f7179e5bb04d6fbe4fc24cdd546e4"),
+    (["independence", "--kmin", "4", "--kmax", "40"],
+     "7c1602e237f4f731f4504f26438b0a10c298947675dd29b79ea44e806ffa30b8"),
+    (["hex", "reduce", "--n", "3", "--poly", HEX, "--format", "json"],
+     "f14e016824344d2cb6c3c63b92319b09b873513f11b34b15646a54c838a11dba"),
+    (["hex", "reduce", "--n", "4", "--poly", HEX, "--format", "json"],
+     "c5c1efdff63f2f1430dcdf8fba4c5dd4d21e611d0961b5cea4cc5d57d990ad3e"),
+    (["hex", "reduce", "--n", "3", "--poly", HEX],
+     "ba8096c7b87ba07838feac5c936aaffdfd3787c0e219afea67ab5107ece8875a"),
+    (["hex", "change-basis", "--dir", "12to13", "--poly", CHART, "--format", "json"],
+     "b84d46326e847bdda4d28ff0e47dbfb6c71e253af285a1f6619e4bda3a99a1a3"),
+    (["hex", "change-basis", "--dir", "13to12", "--poly", CHART, "--format", "json"],
+     "6e745c93d49d5680b6b5d01106125b4a11648927d9eb5bbcd28198ad64693f41"),
+    (["orbit", "--alpha", "3", "--beta", "1", "--format", "json"],
+     "b87ac46497f32812f0dd2fd3f14bee5b12e891f79e0c5b3b69a61229db356135"),
+    (["orbit", "--alpha", "-2", "--beta", "0"],
+     "65542a9a25d5be22f526dac37f72734ee103eedc3d85a83f30014cf259f5965d"),
+    (["orbit", "structure", "--alpha", "1", "--beta", "2", "--n", "4", "--format", "json"],
+     "fbb43eb5c46efaa0258ff766e2b4aabcba75be6a4f9bb37783b80483f3eed15f"),
+    (["lambda", "reduce", "--w0", "5", "--n", "4", "--poly", POLY1, "--format", "json"],
+     "0704ec0d96410f4e27bdcd826f9c1dc60cdfcae5f91bae93d622c9df5f4a922c"),
+    (["lambda", "structure", "--w0", "5", "--n", "4", "--window=-20,20"],
+     "90835d93d549a09dd106f7c621f0b46079c8f2fdf2e5352b776c78d4b632fc8b"),
+    (["whitehead", "relators", "--n", "3", "--window=-3,3", "--format", "json"],
+     "bd74e36799dee498415794f4b07c20ebde95de38e6fc21ef50c69e707a3900a5"),
+    (["whitehead", "facet", "--facet", "t1=t2", "--alpha", "1", "--beta", "-2",
+      "--n", "4", "--format", "json"],
+     "5f16e1b569bed1d11aa66044e04e6763a94484d839cdd7661aa2e2e063f99c52"),
+    (["cover", "apply", "--m", "3", "--alpha", ALPHA, "--format", "json"],
+     "89fd69cab36c4face12c4ce02e78ef25b7fd74f4e3ab2302bfd7e830121ea6ab"),
+    (["cover", "kernel", "--m", "2", "--depth", "3", "--alpha", ALPHA],
+     "381a95460e77f75726cc27fb99c8a845c026491607edf5748f969e54739fee4a"),
+    (["twist", "--k", "5", "--v=0,-1,0,1", "--w", "0,0,1,0", "--format", "json"],
+     "a35158970b5e21363fbe8c70e3e9ea6adc64c8a33380bd88cd31e9d85e6f86de"),
+    (["selfcheck", "--kmax", "6", "--format", "json"],
+     "72649f6ae1335f05a5f1bc646d7b5bd96d22560ec631bca086eaa597014294bd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(a[:3]) + " #%d" % i for i, (a, _) in enumerate(GOLDEN)])
+def test_golden_stdout(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,12 +1,65 @@
 import random
 
 import barbell.hexagon as hexagon
+from barbell.classes import delta, w3
 from barbell.hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                              basis_change_13_to_12, hex_normal_form, k_relator,
                              on_degenerate_line, orbit_of, orbit_relators,
                              orbit_structure)
 from barbell.intlat import IntegerRowSpan, QuotientStructure, smith_normal_form
 from barbell.laurent import LaurentPoly2
+
+
+def bfs_orbit(a, b):
+    """Reference orbit: closure of (a, b) under R_MAP and S_MAP, then the
+    documented order (r^0..r^5 of the least point, then their s-images)."""
+    pts = {(a, b)}
+    frontier = [(a, b)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in (R_MAP, S_MAP):
+                w = m.apply(*v)
+                if w not in pts:
+                    pts.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    rep = min(pts)
+    order = []
+    v = rep
+    for _ in range(6):
+        if v not in order:
+            order.append(v)
+        v = R_MAP.apply(*v)
+    for u in list(order):
+        w = S_MAP.apply(*u)
+        if w not in order:
+            order.append(w)
+    assert len(order) == len(pts)
+    return rep, tuple(order), {1: "origin", 6: "six", 12: "twelve"}[len(pts)]
+
+
+def test_orbit_of_matches_bfs_reference():
+    big = 10 ** 20
+    rng = random.Random(20)
+    points = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
+    points += [(big, 0), (-big, big), (big, 2 * big), (big + 1, -big + 3)]
+    points += [(rng.randrange(-big, big), rng.randrange(-big, big)) for _ in range(20)]
+    for a, b in points:
+        orbit = orbit_of(a, b)
+        assert (orbit.rep, orbit.elements, orbit.otype) == bfs_orbit(a, b), (a, b)
+
+
+def test_normal_form_reduces_each_orbit_block_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hexagon, "orbit_of", lambda a, b: calls.append((a, b)) or orbit_of(a, b))
+    polys = [w3(delta(k), 3).poly for k in (4, 9, 25)]
+    polys.append(polys[0] + polys[1] + polys[2])
+    for poly in polys:
+        blocks = {orbit_of(*mono).rep for mono in poly.terms}
+        calls.clear()
+        hex_normal_form(HexElement(poly, 3))
+        assert len(calls) == len(blocks) < len(poly.terms)
 
 
 def test_orbit_of_unit_hexagon():

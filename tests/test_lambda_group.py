@@ -186,6 +186,8 @@ def test_cover_kernel_iterate():
     assert not cover_kernel_iterate(a4, 2, 2)
     assert cover_kernel_iterate(a4, 2, 3)
     assert cover_kernel_iterate(AlphaCombination(), 5, 1)
+    # the 1-fold cover pulls back to the identity: answered at once, any depth
+    assert cover_kernel_iterate(AlphaCombination({4: 1}), 1, 10**12) is False
 
 
 def test_alpha_combination_validation():

@@ -15,7 +15,7 @@ to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
 """
 
 from .hexagon import HexElement, hex_normal_form
-from .intlat import IntMatrix, rank_over_rationals
+from .intlat import pivots
 from .laurent import LaurentPoly2, Terms
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
@@ -108,15 +108,9 @@ def twist_class(k, v, w):
         raise ValueError("k must be >= 2")
     if len(v) != k - 1 or len(w) != k - 1:
         raise ValueError("twist vectors must have length k-1")
-    acc = GClass.zero()
-    for p in range(1, k):
-        if not v[p - 1]:
-            continue
-        for q in range(1, k):
-            if not w[q - 1]:
-                continue
-            acc = acc + f_closed(k, p, q).scale(v[p - 1] * w[q - 1])
-    return acc
+    return GClass.sum(f_closed(k, p, q).scale(v[p - 1] * w[q - 1])
+                      for p in range(1, k) if v[p - 1]
+                      for q in range(1, k) if w[q - 1])
 
 
 def delta_expansion(k):
@@ -146,17 +140,16 @@ def w3(x, n):
 def independence_rank(classes, n):
     """Exact rational rank of the stacked W3 normal forms.
 
-    Returns (rank, matrix): rows are the free-part coordinates of each
-    class's normal form over the union of touched orbit positions; full
-    rank certifies linear independence in the quotient group.
+    Returns (rank, cols, rows).  Row i is the free-part coordinates of
+    class i's normal form as a sparse {column: value} dict; the `cols`
+    columns index the sorted union of touched (orbit rep, position)
+    keys.  Each class touches only its own orbit blocks, so no dense
+    matrix is built.  Full rank certifies linear independence in the
+    quotient group.
     """
     if not classes:
         raise ValueError("need at least one class")
     frees = [hex_normal_form(w3(x, n)).free_coordinates() for x in classes]
-    columns = sorted(set().union(*[f.keys() for f in frees]))
-    col_index = {c: i for i, c in enumerate(columns)}
-    m = IntMatrix(len(frees), len(columns))
-    for i, f in enumerate(frees):
-        for key, val in f.items():
-            m.data[i][col_index[key]] = val
-    return rank_over_rationals(m), m
+    col_index = {c: i for i, c in enumerate(sorted(set().union(*frees)))}
+    rows = [{col_index[key]: val for key, val in f.items()} for f in frees]
+    return len(pivots(rows)), len(col_index), rows

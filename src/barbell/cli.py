@@ -174,9 +174,7 @@ def _cmd_fk(args):
         payload["skew"] = "OK" if ok else "FAIL"
         text.append("skew: %s" % payload["skew"])
     if args.sum:
-        total = GClass.zero()
-        for v in mat.values():
-            total = total + v
+        total = GClass.sum(mat.values())
         payload["sum"] = total.to_json()
         payload["sum_is_zero"] = total.is_zero()
         text.append("sum: %r" % total)
@@ -219,11 +217,15 @@ def _cmd_independence(args):
         raise ValidationError("--kmax must be >= --kmin")
     ks = list(range(args.kmin, args.kmax + 1))
     deltas = [delta(k) for k in ks]
-    rank, matrix = independence_rank(deltas, args.n)
+    rank, cols, rows = independence_rank(deltas, args.n)
     independent = rank == len(ks)
+    # shape plus the nonzero cells as [i, j, "v"], in row-major order
+    matrix = {"rows": len(rows), "cols": cols,
+              "entries": [[i, j, str(row[j])]
+                          for i, row in enumerate(rows) for j in sorted(row)]}
     payload = {"kmin": args.kmin, "kmax": args.kmax, "n": args.n,
                "count": len(ks), "rank": rank, "independent": independent,
-               "matrix": matrix.to_json()}
+               "matrix": matrix}
     text = ["rank %d / %d: %s" % (rank, len(ks),
                                   "independent" if independent else "DEPENDENT")]
     return payload, text

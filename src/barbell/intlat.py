@@ -3,10 +3,14 @@
 Three algorithms, each exact (Python integers, or `fractions.Fraction`
 for the elimination over Q; never a float):
 
-* one forward Gaussian elimination over Q on sparse rows, which gives
-  both `rank_over_rationals` and `determinant`;
-* the Smith normal form over Z, which certifies cokernel structure;
+* `pivots`, one forward Gaussian elimination over Q, which gives
+  `rank_over_rationals` and `determinant`;
+* the Smith normal form over Z of a dense `IntMatrix`, which certifies
+  cokernel structure;
 * an incremental echelon basis of an integer row span, for membership.
+
+`pivots` and the row span take rows as {column: int} dicts or dense
+lists, and keep them sparse.
 """
 
 from math import prod
@@ -83,12 +87,6 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
-
-    def to_json(self):
-        """Shape plus the nonzero cells as [i, j, "v"], in row-major order."""
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[i, j, str(x)] for i, row in enumerate(self.data)
-                            for j, x in enumerate(row) if x]}
 
 
 class QuotientStructure:
@@ -260,28 +258,35 @@ def smith_normal_form(m):
             IntMatrix(cols, cols, v))
 
 
-def _pivots(m):
-    """Forward Gaussian elimination of m over Q, row by row.
+def _nonzero(row):
+    """(column, value) of each nonzero entry of a {column: int} dict or dense list."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return ((j, c) for j, c in items if c)
+
+
+def pivots(rows):
+    """Forward Gaussian elimination over Q of an iterable of rows, row by row.
 
     Each row, as a sparse {column: Fraction} dict, is reduced least column
     first by the earlier pivot rows whose pivot columns it touches; a
     nonzero remainder pivots at its least column and is stored scaled to
-    1 there.  Returns (column, pivot value) per pivot, in row order.
-    Entries stay ratios of minors of m (Edmonds), and rows sharing no
-    column with a pivot row are never touched, so blocks cost only blocks.
+    1 there.  Returns (column, pivot value) per pivot, in row order, so
+    the rank is its length.  Entries stay ratios of minors (Edmonds), and
+    rows sharing no column with a pivot row are never touched, so blocks
+    cost only blocks.
     """
     from fractions import Fraction  # here: it imports decimal, ~4 ms of start-up
     basis = {}  # pivot column -> its row, scaled to 1 at the pivot
-    pivots = []
-    for data in m.data:
-        row = {j: Fraction(c) for j, c in enumerate(data) if c}
+    out = []
+    for data in rows:
+        row = {j: Fraction(c) for j, c in _nonzero(data)}
         while row:
             j = min(row)
             piv = basis.get(j)
             if piv is None:
                 value = row[j]
                 basis[j] = {k: c / value for k, c in row.items()}
-                pivots.append((j, value))
+                out.append((j, value))
                 break
             f = row[j]
             for k, c in piv.items():
@@ -290,24 +295,24 @@ def _pivots(m):
                     row[k] = c
                 else:
                     del row[k]
-    return pivots
+    return out
 
 
 def rank_over_rationals(m):
-    """Rank of m over Q: the number of pivots of one elimination."""
-    return len(_pivots(m))
+    """Rank of the IntMatrix m over Q: the number of pivots of its rows."""
+    return len(pivots(m.data))
 
 
 def determinant(m):
     """Sign of the pivot-column permutation times the pivot product; 0 if singular."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    pivots = _pivots(m)
-    if len(pivots) < m.rows:
+    found = pivots(m.data)
+    if len(found) < m.rows:
         return 0
-    cols = [j for j, _ in pivots]
+    cols = [j for j, _ in found]
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return (-1) ** inversions * int(prod(v for _, v in pivots))
+    return (-1) ** inversions * int(prod(v for _, v in found))
 
 
 def cokernel_structure(relations):
@@ -333,14 +338,8 @@ class IntegerRowSpan:
     def __init__(self):
         self.rows = {}  # pivot column -> sparse row
 
-    @staticmethod
-    def _sparsify(vec):
-        if isinstance(vec, dict):
-            return {j: c for j, c in vec.items() if c}
-        return {j: c for j, c in enumerate(vec) if c}
-
     def add(self, vec):
-        v = self._sparsify(vec)
+        v = dict(_nonzero(vec))
         while v:
             j = min(v)
             row = self.rows.get(j)
@@ -374,7 +373,7 @@ class IntegerRowSpan:
                 v = new_v
 
     def contains(self, vec):
-        v = self._sparsify(vec)
+        v = dict(_nonzero(vec))
         while v:
             j = min(v)
             row = self.rows.get(j)
@@ -390,15 +389,8 @@ class IntegerRowSpan:
         return True
 
     def covers(self, other):
-        return all(self.contains(dict(r)) for r in other.rows.values())
+        return all(self.contains(r) for r in other.rows.values())
 
     def equals(self, other):
         return self.covers(other) and other.covers(self)
 
-
-def in_row_span(m, vec):
-    """True iff vec lies in the integer row span of m."""
-    span = IntegerRowSpan()
-    for row in m.data:
-        span.add(row)
-    return span.contains(vec)

@@ -7,6 +7,7 @@ and in two commuting invertible variables (t1, t2).
 """
 
 import re
+from itertools import chain
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -47,6 +48,15 @@ class Terms:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def sum(cls, items):
+        """Sum of an iterable of cls instances, built in one constructor pass."""
+        def terms(x):
+            if type(x) is not cls:
+                raise TypeError("cannot add %s to %s" % (type(x).__name__, cls.__name__))
+            return x.terms.items()
+        return cls(chain.from_iterable(map(terms, items)))
 
     def is_zero(self):
         return not self.terms

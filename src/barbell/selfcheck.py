@@ -299,10 +299,9 @@ def check_normal_form_soundness(params):
             x, y = _rand_poly2(rng, -4, 4), _rand_poly2(rng, -4, 4)
             if rng.randrange(2):
                 # make agreement likely: perturb x by a relator combination
-                y = x
-                for _ in range(rng.randrange(0, 3)):
-                    pp, qq = rng.randrange(-4, 5), rng.randrange(-4, 5)
-                    y = y + hexagon.k_relator(pp, qq, n).scale(rng.randrange(-2, 3))
+                y = LaurentPoly2.sum([x] + [
+                    hexagon.k_relator(rng.randrange(-4, 5), rng.randrange(-4, 5), n)
+                    .scale(rng.randrange(-2, 3)) for _ in range(rng.randrange(0, 3))])
             same_nf = (hex_normal_form(HexElement(x, n)) ==
                        hex_normal_form(HexElement(y, n)))
             diff = x - y
@@ -348,10 +347,7 @@ def check_skew_symmetry(params):
 
 def check_total_sum_vanishes(params):
     for k in range(2, params.kmax + 1):
-        total = GClass.zero()
-        for p in range(1, k):
-            for q in range(1, k):
-                total = total + f_closed(k, p, q)
+        total = GClass.sum(f_closed(k, p, q) for p in range(1, k) for q in range(1, k))
         if not total.is_zero():
             _fail("total sum vanishes", "sum of F_%d is %r" % (k, total))
 
@@ -360,10 +356,7 @@ def check_per_level_agreement(params):
     for k in range(2, params.kmax + 1):
         for p in range(1, k):
             for q in range(1, k):
-                acc = GClass.zero()
-                for lvl in range(1, k):
-                    acc = acc + f_level(k, lvl, p, q)
-                if acc != f_closed(k, p, q):
+                if GClass.sum(f_level(k, lvl, p, q) for lvl in range(1, k)) != f_closed(k, p, q):
                     _fail("per-level agreement", "k=%d p=%d q=%d" % (k, p, q))
 
 

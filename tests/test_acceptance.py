@@ -64,9 +64,9 @@ def test_criterion_04_delta_expansion():
 def test_criterion_05_linear_independence():
     t0 = time.time()
     deltas = [delta(k) for k in range(4, 41)]
-    rank, matrix = independence_rank(deltas, 3)
+    rank, _, rows = independence_rank(deltas, 3)
     assert rank == 37, rank
-    assert matrix.rows == 37
+    assert len(rows) == 37
     _report(5, "rank of W3(delta_4..delta_40) is 37, exact rational rank", t0)
 
 

@@ -4,6 +4,7 @@ from barbell.classes import (GClass, d, delta, delta_expansion, e, f_closed,
                              f_level, g, gstar, independence_rank, roman,
                              twist_class, w3)
 from barbell.hexagon import hex_normal_form
+from barbell.intlat import IntMatrix
 
 
 def test_g_and_gstar():
@@ -126,17 +127,33 @@ def test_delta3_vanishes_delta4_does_not():
 
 
 def test_independence_examples():
-    rank, _ = independence_rank([delta(4)], 3)
+    rank, _, _ = independence_rank([delta(4)], 3)
     assert rank == 1
-    rank, _ = independence_rank([delta(4), delta(4).scale(2)], 3)
+    rank, _, _ = independence_rank([delta(4), delta(4).scale(2)], 3)
     assert rank == 1
-    rank, _ = independence_rank([delta(k) for k in range(4, 9)], 3)
+    rank, _, _ = independence_rank([delta(k) for k in range(4, 9)], 3)
     assert rank == 5
-    rank, matrix = independence_rank([delta(k) for k in range(4, 13)], 3)
+    rank, _, rows = independence_rank([delta(k) for k in range(4, 13)], 3)
     assert rank == 9
-    assert matrix.rows == 9
+    assert len(rows) == 9
     with pytest.raises(ValueError):
         independence_rank([], 3)
+
+
+def test_independence_builds_no_dense_matrix(monkeypatch):
+    # the rank splits into orbit blocks, so no matrix beyond one
+    # twelve-orbit block (12 x 12) may appear on the independence path
+    shapes = []
+    init = IntMatrix.__init__
+
+    def spy(self, rows, cols, data=None):
+        shapes.append((rows, cols))
+        init(self, rows, cols, data)
+
+    monkeypatch.setattr(IntMatrix, "__init__", spy)
+    rank, _, rows = independence_rank([delta(k) for k in range(4, 61)], 3)
+    assert rank == len(rows) == 57
+    assert all(r <= 12 and c <= 12 for r, c in shapes), max(shapes)
 
 
 def test_gstar_form_of_e_agrees_in_quotient():

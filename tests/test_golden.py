@@ -87,6 +87,12 @@ GOLDEN = [
      "a35158970b5e21363fbe8c70e3e9ea6adc64c8a33380bd88cd31e9d85e6f86de"),
     (["selfcheck", "--kmax", "6", "--format", "json"],
      "72649f6ae1335f05a5f1bc646d7b5bd96d22560ec631bca086eaa597014294bd"),
+    # sparse independence JSON beyond kmax 40; a twist sum that skips zero weights
+    (["independence", "--kmin", "4", "--kmax", "600", "--n", "4", "--format", "json"],
+     "256c648305f9f65273b3bf9a50f5c1bdd3bab3b59272227cb6d9612b3b278e00"),
+    (["twist", "--k", "9", "--v", "1,0,2,0,-3,1,1,1", "--w", "0,0,1,2,3,4,5,6",
+      "--format", "json"],
+     "939818057d683a565b0e9a539c916b0fff76531c9a5a361a10b942d827b29752"),
 ]
 
 

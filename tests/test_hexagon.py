@@ -205,6 +205,22 @@ def test_hexagon_combination_vanishes_for_odd_n():
     assert hex_normal_form(HexElement(comb4, 4)).is_zero()
 
 
+def relator_span_member(diff, n, orbit_fn):
+    """True iff, on every orbit that orbit_fn builds, diff lies in the
+    integer row span of that orbit's relators."""
+    by_orbit = {}
+    for mono, c in diff.terms.items():
+        orbit = orbit_fn(*mono)
+        by_orbit.setdefault(orbit.rep, (orbit, {}))[1][mono] = c
+    for orbit, monos in by_orbit.values():
+        span = IntegerRowSpan()
+        for row in orbit_relators(orbit, n).data:
+            span.add(row)
+        if not span.contains([monos.get(el, 0) for el in orbit.elements]):
+            return False
+    return True
+
+
 def test_normal_form_soundness_random():
     rng = random.Random(12)
     for n in (3, 4):
@@ -221,23 +237,10 @@ def test_normal_form_soundness_random():
                                   rng.randrange(-4, 5) for _ in range(4)})
             same = (hex_normal_form(HexElement(x, n)) ==
                     hex_normal_form(HexElement(y, n)))
-            diff = x - y
-            member = True
-            by_orbit = {}
-            for mono, c in diff.terms.items():
-                by_orbit.setdefault(orbit_of(*mono).rep, {})[mono] = c
-            for rep, monos in by_orbit.items():
-                orbit = orbit_of(*rep)
-                idx = orbit.index()
-                span = IntegerRowSpan()
-                for row in orbit_relators(orbit, n).data:
-                    span.add(row)
-                vec = [0] * len(orbit.elements)
-                for mono, c in monos.items():
-                    vec[idx[mono]] += c
-                if not span.contains(vec):
-                    member = False
-            assert same == member
+            # the BFS-built orbits make the oracle free of orbit_of's element order
+            assert same == relator_span_member(x - y, n, orbit_of)
+            assert same == relator_span_member(
+                x - y, n, lambda a, b: hexagon.HexOrbit(*bfs_orbit(a, b)))
 
 
 def test_basis_change_example():

@@ -139,4 +139,16 @@ def test_terms_contract(cls, key, other):
         x.add(y)
     with pytest.raises(TypeError):
         x + other()
+    # sum: one pass through the normalising constructor, same contract as +
+    for size in range(6):
+        xs = [rand() for _ in range(size)]
+        total = cls.sum(iter(xs))
+        fold = cls.zero()
+        for item in xs:
+            fold = fold + item
+        assert total == fold
+        assert type(total) is cls and all(total.terms.values())
+    assert cls.sum([]) == cls.zero()
+    with pytest.raises(TypeError):
+        cls.sum([x, y])
 

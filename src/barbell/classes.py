@@ -12,6 +12,7 @@ The (k-1) x (k-1) matrix F_k factors the symmetric k-strand family; it
 is skew symmetric with zero total sum, and twisting multiplies rows and
 columns by the twist vectors.  The third-order invariant sends G(p,q)
 to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
+Each class is built once, from a flat list of (key, coeff) pairs.
 """
 
 from .hexagon import HexElement, hex_normal_form
@@ -41,23 +42,33 @@ def e(p, q):
     return GClass([((-q, p), -1), ((p, -q), 1)])
 
 
+def _d(p, q, c):
+    # the (key, coeff) pairs of c * D(p, q)
+    return [((q, -p), -c), ((-q, p), c), ((p, -q), -c), ((-p, q), c)]
+
+
 def d(p, q):
-    return GClass([((q, -p), -1), ((-q, p), 1), ((p, -q), -1), ((-p, q), 1)])
+    return GClass(_d(p, q, 1))
+
+
+def _roman(form, p, q, c):
+    # the (key, coeff) pairs of c times the roman form
+    if form == "I":
+        return _d(p, -q, c)
+    if form == "IIb":
+        return _d(-q, p, c) + _d(p - q, -p, -c)
+    if form == "IIbe":
+        return _d(-q, p, c) + _d(-p - q, p, -c) + _d(p - q, -p, -c) + _d(-q, -p, c)
+    if form == "IIr":
+        return _d(p, -q, c) + _d(p - q, q, -c)
+    if form == "IIre":
+        return _d(p, -q, c) + _d(p + q, -q, -c) + _d(p - q, q, -c) + _d(p, q, c)
+    raise ValueError("unknown roman form %r" % (form,))
 
 
 def roman(form, p, q):
     """One of the five D-combinations entering the closed form of F_k."""
-    if form == "I":
-        return d(p, -q)
-    if form == "IIb":
-        return d(-q, p) - d(p - q, -p)
-    if form == "IIbe":
-        return d(-q, p) - d(-p - q, p) - d(p - q, -p) + d(-q, -p)
-    if form == "IIr":
-        return d(p, -q) - d(p - q, q)
-    if form == "IIre":
-        return d(p, -q) - d(p + q, -q) - d(p - q, q) + d(p, q)
-    raise ValueError("unknown roman form %r" % (form,))
+    return GClass(_roman(form, p, q, 1))
 
 
 def _check_fk_args(k, p, q):
@@ -75,27 +86,28 @@ def f_level(k, level, p, q):
     big_p = p >= k - level
     big_q = q >= level
     if big_p and big_q:
-        return d(p, -q)
+        return roman("I", p, q)
     if not big_p and not big_q:
         return GClass.zero()
     if big_p:  # q < level
-        if p + q >= k:
-            return d(p, -q) - d(p - q, q)
-        return d(p, -q) - d(p + q, -q) - d(p - q, q) + d(p, q)
+        return roman("IIr" if p + q >= k else "IIre", p, q)
     # p < k - level, q >= level
-    if p + q >= k:
-        return d(-q, p) - d(p - q, -p)
-    return d(-q, p) - d(-p - q, p) - d(p - q, -p) + d(-q, -p)
+    return roman("IIb" if p + q >= k else "IIbe", p, q)
+
+
+def _f_closed(k, p, q, c):
+    # the (key, coeff) pairs of c * F_k(p, q)
+    if p + q < k:
+        return _roman("IIre", p, q, c * p) + _roman("IIbe", p, q, c * q)
+    return (_roman("IIb", p, q, c * (k - p - 1))
+            + _roman("IIr", p, q, c * (k - q - 1))
+            + _roman("I", p, q, c * (p + q + 1 - k)))
 
 
 def f_closed(k, p, q):
     """Closed form of F_k(p,q), the sum of f_level over all levels."""
     _check_fk_args(k, p, q)
-    if p + q < k:
-        return roman("IIre", p, q).scale(p) + roman("IIbe", p, q).scale(q)
-    return (roman("IIb", p, q).scale(k - p - 1)
-            + roman("IIr", p, q).scale(k - q - 1)
-            + roman("I", p, q).scale(p + q + 1 - k))
+    return GClass(_f_closed(k, p, q, 1))
 
 
 def twist_class(k, v, w):
@@ -108,9 +120,8 @@ def twist_class(k, v, w):
         raise ValueError("k must be >= 2")
     if len(v) != k - 1 or len(w) != k - 1:
         raise ValueError("twist vectors must have length k-1")
-    return GClass.sum(f_closed(k, p, q).scale(v[p - 1] * w[q - 1])
-                      for p in range(1, k) if v[p - 1]
-                      for q in range(1, k) if w[q - 1])
+    return GClass([pair for p in range(1, k) if v[p - 1] for q in range(1, k) if w[q - 1]
+                   for pair in _f_closed(k, p, q, v[p - 1] * w[q - 1])])
 
 
 def delta_expansion(k):

@@ -3,7 +3,7 @@
 Every subcommand is deterministic: identical argv yields byte-identical
 output.  JSON is the stable machine contract, text is for humans, and
 CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2
-validation error, 3 internal invariant violation.
+validation error, 3 internal invariant violation or any other fault.
 """
 
 import argparse
@@ -411,6 +411,9 @@ def main(argv=None):
         return 3
     except AssertionError as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     return 0
 

@@ -1,10 +1,59 @@
+import random
+
 import pytest
 
-from barbell.classes import (GClass, d, delta, delta_expansion, e, f_closed,
-                             f_level, g, gstar, independence_rank, roman,
+from barbell.classes import (ROMAN_FORMS, GClass, d, delta, delta_expansion, e,
+                             f_closed, f_level, g, gstar, independence_rank, roman,
                              twist_class, w3)
 from barbell.hexagon import hex_normal_form
 from barbell.intlat import IntMatrix
+
+
+# Reference: the class algebra built by GClass arithmetic, one class per
+# D(p, q) and one more per -, + and .scale().  The flat (key, coeff)
+# builders in barbell.classes must give the same classes.
+def _ref_d(p, q):
+    return GClass([((q, -p), -1), ((-q, p), 1), ((p, -q), -1), ((-p, q), 1)])
+
+
+def _ref_roman(form, p, q):
+    d = _ref_d
+    if form == "I":
+        return d(p, -q)
+    if form == "IIb":
+        return d(-q, p) - d(p - q, -p)
+    if form == "IIbe":
+        return d(-q, p) - d(-p - q, p) - d(p - q, -p) + d(-q, -p)
+    if form == "IIr":
+        return d(p, -q) - d(p - q, q)
+    assert form == "IIre"
+    return d(p, -q) - d(p + q, -q) - d(p - q, q) + d(p, q)
+
+
+def _ref_f_level(k, level, p, q):
+    d = _ref_d
+    big_p = p >= k - level
+    big_q = q >= level
+    if big_p and big_q:
+        return d(p, -q)
+    if not big_p and not big_q:
+        return GClass.zero()
+    if big_p:  # q < level
+        if p + q >= k:
+            return d(p, -q) - d(p - q, q)
+        return d(p, -q) - d(p + q, -q) - d(p - q, q) + d(p, q)
+    # p < k - level, q >= level
+    if p + q >= k:
+        return d(-q, p) - d(p - q, -p)
+    return d(-q, p) - d(-p - q, p) - d(p - q, -p) + d(-q, -p)
+
+
+def _ref_f_closed(k, p, q):
+    if p + q < k:
+        return _ref_roman("IIre", p, q).scale(p) + _ref_roman("IIbe", p, q).scale(q)
+    return (_ref_roman("IIb", p, q).scale(k - p - 1)
+            + _ref_roman("IIr", p, q).scale(k - q - 1)
+            + _ref_roman("I", p, q).scale(p + q + 1 - k))
 
 
 def test_g_and_gstar():
@@ -41,6 +90,10 @@ def test_roman_examples():
     assert roman("IIb", 1, 3) == d(-3, 1) - d(-2, -1)
     p, q = 2, 5
     assert (roman("IIre", q, p) + roman("IIbe", p, q)).is_zero()
+    for form in ROMAN_FORMS:
+        for p in range(-8, 9):
+            for q in range(-8, 9):
+                assert roman(form, p, q) == _ref_roman(form, p, q), (form, p, q)
     with pytest.raises(ValueError):
         roman("III", 1, 1)
 
@@ -55,13 +108,30 @@ def test_f_level_cases():
 
 
 def test_per_level_sums_to_closed_form():
-    for k in range(2, 13):
+    # every (k, L, p, q) with k <= 16 also against the arithmetic
+    # reference; the grid holds the zero-weight corners p = k-1, q = k-1
+    # and p + q + 1 = k of f_closed
+    for k in range(2, 17):
         for p in range(1, k):
             for q in range(1, k):
+                assert f_closed(k, p, q) == _ref_f_closed(k, p, q), (k, p, q)
                 acc = GClass.zero()
                 for lvl in range(1, k):
-                    acc = acc + f_level(k, lvl, p, q)
+                    level = f_level(k, lvl, p, q)
+                    assert level == _ref_f_level(k, lvl, p, q), (k, lvl, p, q)
+                    acc = acc + level
                 assert acc == f_closed(k, p, q)
+
+
+def test_twist_matches_scaled_sum():
+    rng = random.Random(20210426)
+    for k in range(2, 13):
+        for _ in range(4):
+            v = [rng.choice((0, 0, rng.randrange(-5, 6))) for _ in range(k - 1)]
+            w = [rng.choice((0, rng.randrange(-5, 6))) for _ in range(k - 1)]
+            want = GClass.sum(f_closed(k, p, q).scale(v[p - 1] * w[q - 1])
+                              for p in range(1, k) for q in range(1, k))
+            assert twist_class(k, v, w) == want, (k, v, w)
 
 
 def test_closed_form_skew_and_sum():

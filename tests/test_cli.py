@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import barbell.cli as cli
 import barbell.hexagon as hexagon
 from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
@@ -210,6 +211,20 @@ def test_validation_exit_codes(capsys, tmp_path):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom")],
+                         ids=["KeyError", "TypeError"])
+def test_internal_fault_exits_3(capsys, monkeypatch, exc):
+    # any exception that is not a validation error is an internal fault
+    def broken(k, p, q):
+        raise exc
+
+    monkeypatch.setattr(cli, "f_closed", broken)
+    code, out, err = run_cli(capsys, ["fk", "--k", "3"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
 
 def test_seed_flag_accepted(capsys):

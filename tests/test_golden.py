@@ -38,6 +38,11 @@ POLY1 = _payload([{"e": 2, "c": "1"}, {"e": 0, "c": "-1"}, {"e": -3, "c": "4"},
                   {"e": 7, "c": "-2"}])
 ALPHA = _payload([{"i": 4, "c": "1"}, {"i": 6, "c": "-3"}, {"i": 9, "c": "2"}])
 FK = ["fk", "--k", "12", "--per-level", "--check-skew", "--sum"]
+# twist vectors of length 39 with zero and negative weights
+V40 = ("2,-2,5,1,-3,4,0,-4,3,-1,-5,2,-2,5,1,-3,4,0,-4,3,-1,-5,"
+       "2,-2,5,1,-3,4,0,-4,3,-1,-5,2,-2,5,1,-3,4")
+W40 = ("1,-3,2,-2,3,-1,4,0,-4,1,-3,2,-2,3,-1,4,0,-4,1,-3,2,-2,"
+       "3,-1,4,0,-4,1,-3,2,-2,3,-1,4,0,-4,1,-3,2")
 
 GOLDEN = [
     (FK + ["--format", "json"],
@@ -93,6 +98,12 @@ GOLDEN = [
     (["twist", "--k", "9", "--v", "1,0,2,0,-3,1,1,1", "--w", "0,0,1,2,3,4,5,6",
       "--format", "json"],
      "939818057d683a565b0e9a539c916b0fff76531c9a5a361a10b942d827b29752"),
+    # both chambers and the zero-weight corners of f_closed at k = 30; a
+    # 4362-term flat twist sum
+    (["fk", "--k", "30", "--check-skew", "--sum", "--format", "json"],
+     "0fd281b89f401017efccff2318842fce817ced6bf1c199b17d0eedcf56c73e16"),
+    (["twist", "--k", "40", "--v", V40, "--w", W40, "--format", "json"],
+     "69454d932405fecb80d1762631fe9e5688893c8a9c553dbe5de93a4aa00a6d67"),
 ]
 
 

@@ -1,10 +1,13 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barbell.classes import GClass
 from barbell.lambda_group import AlphaCombination
-from barbell.laurent import AffineMap2, LaurentPoly1, LaurentPoly2
+from barbell.laurent import AffineMap2, LaurentPoly1, LaurentPoly2, json_int
 
 R = AffineMap2((1, -1, 1, 0))   # (a, b) -> (a - b, a)
 S = AffineMap2((0, -1, -1, 0))  # (a, b) -> (-b, -a)
@@ -152,3 +155,56 @@ def test_terms_contract(cls, key, other):
     with pytest.raises(TypeError):
         cls.sum([x, y])
 
+
+
+# Property tests of the payload parsers; derandomized, so every run
+# draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+def _is_ascii_decimal(s):
+    body = s[1:] if s.startswith("-") else s
+    return body != "" and all(ch in "0123456789" for ch in body)
+
+
+# strings that look almost like decimals: a sign or space before, a
+# separator, exponent or non-ASCII digit after
+_NEAR_DECIMALS = st.tuples(st.sampled_from(["", "+", " ", "-", "--", "0x", "\u0663"]),
+                           st.integers(min_value=0).map(str),
+                           st.sampled_from(["", "_0", " ", "\n", ".0", "e3", "\u0663"])
+                           ).map("".join)
+
+
+@PROPERTY
+@given(st.integers())
+def test_json_int_accepts_ints_and_their_decimals(n):
+    assert json_int({"c": n}, "c") is n
+    assert json_int({"c": str(n)}, "c") == n
+
+
+@PROPERTY
+@given(st.one_of(st.booleans(), st.floats(),
+                 st.text().filter(lambda s: not _is_ascii_decimal(s)),
+                 _NEAR_DECIMALS.filter(lambda s: not _is_ascii_decimal(s)),
+                 st.none(), st.lists(st.integers(), max_size=2)))
+def test_json_int_rejects_everything_else(value):
+    with pytest.raises(ValueError):
+        json_int({"c": value}, "c")
+
+
+ROUND_TRIP_KEYS = [
+    (LaurentPoly1, st.integers()),
+    (LaurentPoly2, st.tuples(st.integers(), st.integers())),
+    (GClass, st.tuples(st.integers(), st.integers())),
+    (AlphaCombination, st.integers(min_value=1)),
+]
+
+
+@pytest.mark.parametrize("cls,keys", ROUND_TRIP_KEYS,
+                         ids=[c.__name__ for c, _ in ROUND_TRIP_KEYS])
+@PROPERTY
+@given(data=st.data())
+def test_json_round_trip_property(cls, keys, data):
+    x = cls(data.draw(st.lists(st.tuples(keys, st.integers()), max_size=12)))
+    assert cls.from_json(x.to_json()) == x
+    assert cls.from_json(json.loads(json.dumps(x.to_json()))) == x

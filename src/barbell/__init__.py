@@ -5,3 +5,9 @@ twisted classes, and rank certificates for their independence.
 """
 
 __version__ = "0.1.0"
+
+
+class DomainError(ValueError):
+    """An argument outside the mathematical domain, such as n < 3 or
+    k < 2.  The CLI reports it with exit 2; any other ValueError is an
+    internal fault and exits 3."""

@@ -15,6 +15,7 @@ to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
 Each class is built once, from a flat list of (key, coeff) pairs.
 """
 
+from . import DomainError
 from .hexagon import HexElement, hex_normal_form
 from .intlat import pivots
 from .laurent import LaurentPoly2, Terms
@@ -73,16 +74,16 @@ def roman(form, p, q):
 
 def _check_fk_args(k, p, q):
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise DomainError("k must be >= 2")
     if not (1 <= p <= k - 1 and 1 <= q <= k - 1):
-        raise ValueError("need 1 <= p, q <= k-1")
+        raise DomainError("need 1 <= p, q <= k-1")
 
 
 def f_level(k, level, p, q):
     """Level-L entry of the factored family, by the per-level case table."""
     _check_fk_args(k, p, q)
     if not 1 <= level <= k - 1:
-        raise ValueError("need 1 <= L <= k-1")
+        raise DomainError("need 1 <= L <= k-1")
     big_p = p >= k - level
     big_q = q >= level
     if big_p and big_q:
@@ -117,9 +118,9 @@ def twist_class(k, v, w):
     class is sum_{p,q} v_p w_q F_k(p,q).
     """
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise DomainError("k must be >= 2")
     if len(v) != k - 1 or len(w) != k - 1:
-        raise ValueError("twist vectors must have length k-1")
+        raise DomainError("twist vectors must have length k-1")
     return GClass([pair for p in range(1, k) if v[p - 1] for q in range(1, k) if w[q - 1]
                    for pair in _f_closed(k, p, q, v[p - 1] * w[q - 1])])
 
@@ -136,7 +137,7 @@ def delta_expansion(k):
 def delta(k):
     """The twisted class F_k(k-1, k-2), checked against its expansion."""
     if k < 3:
-        raise ValueError("delta_k needs k >= 3")
+        raise DomainError("delta_k needs k >= 3")
     out = f_closed(k, k - 1, k - 2)
     if out != delta_expansion(k):
         raise AssertionError("delta_%d disagrees with its closed expansion" % k)
@@ -159,7 +160,7 @@ def independence_rank(classes, n):
     quotient group.
     """
     if not classes:
-        raise ValueError("need at least one class")
+        raise DomainError("need at least one class")
     frees = [hex_normal_form(w3(x, n)).free_coordinates() for x in classes]
     col_index = {c: i for i, c in enumerate(sorted(set().union(*frees)))}
     rows = [{col_index[key]: val for key, val in f.items()} for f in frees]

@@ -4,13 +4,16 @@ Every subcommand is deterministic: identical argv yields byte-identical
 output.  JSON is the stable machine contract, text is for humans, and
 CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2
 validation error, 3 internal invariant violation or any other fault.
+Handlers return the JSON payload with zero-argument functions for the
+text lines (and, for fk, the CSV rows), so only the format asked for is
+ever formatted.
 """
 
 import argparse
 import json
 import sys
 
-from . import selfcheck as selfcheck_mod
+from . import DomainError, selfcheck as selfcheck_mod
 from .classes import GClass, delta, f_closed, f_level, independence_rank, twist_class, w3
 from .hexagon import (HexElement, basis_change_12_to_13, basis_change_13_to_12,
                       hex_normal_form, orbit_of, orbit_structure)
@@ -20,14 +23,14 @@ from .laurent import LaurentPoly1, LaurentPoly2
 from .whitehead import derive_R_relators, facet_map, pair_bracket
 
 
-class ValidationError(ValueError):
+class ValidationError(DomainError):
     pass
 
 
 def _parse_json(text, what):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also a too-long integer
         raise ValidationError("bad %s JSON: %s" % (what, exc))
 
 
@@ -81,24 +84,21 @@ def _cmd_lambda(args):
         nf = lambda_reduce(poly, ctx)
         payload = {"w0": ctx.w0, "n": ctx.n, "normal_form": nf.to_json(),
                    "is_zero": nf.is_zero()}
-        text = ["normal form: %r" % nf]
-    else:
-        lo, hi = _parse_window(args.window)
-        st = lambda_structure(ctx, (lo, hi))
-        payload = {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi],
-                   "structure": st.to_json()}
-        text = ["structure on window [%d, %d]: %r" % (lo, hi, st)]
-    return payload, text
+        return payload, lambda: ["normal form: %r" % nf]
+    lo, hi = _parse_window(args.window)
+    st = lambda_structure(ctx, (lo, hi))
+    payload = {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi], "structure": st.to_json()}
+    return payload, lambda: ["structure on window [%d, %d]: %r" % (lo, hi, st)]
 
 
 def _cmd_cover(args):
     comb = _load(AlphaCombination, args.alpha, "alpha combination")
     if args.action == "apply":
         out = cover_pullback(args.m, comb)
-        return ({"m": args.m, "result": out.to_json()}, ["pullback: %r" % out])
+        return {"m": args.m, "result": out.to_json()}, lambda: ["pullback: %r" % out]
     ok = cover_kernel_iterate(comb, args.m, args.depth)
     return ({"m": args.m, "depth": args.depth, "in_kernel": ok},
-            ["in kernel after %d iterations: %s" % (args.depth, "yes" if ok else "no")])
+            lambda: ["in kernel after %d iterations: %s" % (args.depth, "yes" if ok else "no")])
 
 
 def _cmd_whitehead(args):
@@ -107,18 +107,17 @@ def _cmd_whitehead(args):
         img = facet_map(args.facet, p, args.a1, args.n)
         payload = {"facet": args.facet, "alpha": args.alpha, "beta": args.beta,
                    "n": args.n, "a1": args.a1, "image": _bracket_json(img)}
-        return payload, ["image: %r" % img]
+        return payload, lambda: ["image: %r" % img]
     lo, hi = _parse_window(args.window)
     rels = derive_R_relators(args.n, (lo, hi))
     entries = []
-    text = []
     for (a, b), rel in rels:
         poly = rel.triple_poly()
         entries.append({"alpha": a, "beta": b,
                         "relator": [{"e1": x, "e3": y, "c": str(poly.terms[(x, y)])}
                                     for x, y in sorted(poly.terms)]})
-        text.append("(%d, %d): %r" % (a, b, rel))
-    return ({"n": args.n, "window": [lo, hi], "relators": entries}, text)
+    return ({"n": args.n, "window": [lo, hi], "relators": entries},
+            lambda: ["(%d, %d): %r" % (a, b, rel) for (a, b), rel in rels])
 
 
 def _cmd_orbit(args):
@@ -129,14 +128,14 @@ def _cmd_orbit(args):
         payload = orbit.to_json()
         payload["n"] = args.n
         payload["structure"] = st.to_json()
-        return payload, ["orbit of (%d, %d): %s, %d elements, structure %r"
-                         % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)]
+        return payload, lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
+                                 % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)]
     _require(args, ("alpha", "beta"))
     orbit = orbit_of(args.alpha, args.beta)
     return (orbit.to_json(),
-            ["orbit of (%d, %d): %s, rep (%d, %d), elements %s"
-             % (args.alpha, args.beta, orbit.otype, orbit.rep[0], orbit.rep[1],
-                list(orbit.elements))])
+            lambda: ["orbit of (%d, %d): %s, rep (%d, %d), elements %s"
+                     % (args.alpha, args.beta, orbit.otype, orbit.rep[0], orbit.rep[1],
+                        list(orbit.elements))])
 
 
 def _cmd_hex(args):
@@ -144,10 +143,10 @@ def _cmd_hex(args):
     if args.action == "reduce":
         nf = hex_normal_form(HexElement(poly, args.n))
         return ({"n": args.n, "normal_form": nf.to_json(), "is_zero": nf.is_zero()},
-                ["normal form: %r" % nf])
+                lambda: ["normal form: %r" % nf])
     fn = basis_change_13_to_12 if args.dir == "13to12" else basis_change_12_to_13
     out = fn(poly)
-    return ({"dir": args.dir, "result": out.to_json()}, ["result: %r" % out])
+    return {"dir": args.dir, "result": out.to_json()}, lambda: ["result: %r" % out]
 
 
 def _fk_matrix(k):
@@ -162,8 +161,6 @@ def _cmd_fk(args):
     payload = {"k": k,
                "entries": [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
                            for p, q in sorted(mat)]}
-    text = ["F_%d(%d,%d) = %r" % (k, p, q, mat[(p, q)]) for p, q in sorted(mat)]
-    csv_rows = None
     if args.per_level:
         payload["per_level"] = [
             {"L": lvl, "p": p, "q": q, "class": f_level(k, lvl, p, q).to_json()}
@@ -172,33 +169,44 @@ def _cmd_fk(args):
         ok = all((mat[(p, q)] + mat[(q, p)]).is_zero()
                  for p in range(1, k) for q in range(1, k))
         payload["skew"] = "OK" if ok else "FAIL"
-        text.append("skew: %s" % payload["skew"])
     if args.sum:
         total = GClass.sum(mat.values())
         payload["sum"] = total.to_json()
         payload["sum_is_zero"] = total.is_zero()
-        text.append("sum: %r" % total)
-    if args.format == "csv":
-        csv_rows = [["p\\q"] + [str(q) for q in range(1, k)]]
-        for p in range(1, k):
-            csv_rows.append([str(p)] + ["%r" % mat[(p, q)] for q in range(1, k)])
+
+    def text():
+        lines = ["F_%d(%d,%d) = %r" % (k, p, q, mat[(p, q)]) for p, q in sorted(mat)]
+        if args.check_skew:
+            lines.append("skew: %s" % payload["skew"])
+        if args.sum:
+            lines.append("sum: %r" % total)
+        return lines
+
+    def csv_rows():
+        return [["p\\q"] + [str(q) for q in range(1, k)]] + [
+            [str(p)] + ["%r" % mat[(p, q)] for q in range(1, k)] for p in range(1, k)]
     return payload, text, csv_rows
 
 
 def _cmd_delta(args):
     cls = delta(args.k)
     payload = {"k": args.k, "class": cls.to_json()}
-    text = ["delta_%d = %r" % (args.k, cls)]
     if args.expand:
         payload["expansion"] = cls.to_json()
         payload["matches_expansion"] = True  # delta() verifies internally
-        text.append("matches the 8-term expansion: yes")
     if args.w3:
         nf = hex_normal_form(w3(cls, args.n))
         payload["n"] = args.n
         payload["w3_normal_form"] = nf.to_json()
         payload["w3_is_zero"] = nf.is_zero()
-        text.append("W3 normal form (n=%d): %r" % (args.n, nf))
+
+    def text():
+        lines = ["delta_%d = %r" % (args.k, cls)]
+        if args.expand:
+            lines.append("matches the 8-term expansion: yes")
+        if args.w3:
+            lines.append("W3 normal form (n=%d): %r" % (args.n, nf))
+        return lines
     return payload, text
 
 
@@ -207,7 +215,7 @@ def _cmd_twist(args):
     w = _parse_csv_ints(args.w, "--w")
     cls = twist_class(args.k, v, w)
     return ({"k": args.k, "v": v, "w": w, "class": cls.to_json()},
-            ["twisted class = %r" % cls])
+            lambda: ["twisted class = %r" % cls])
 
 
 def _cmd_independence(args):
@@ -226,9 +234,8 @@ def _cmd_independence(args):
     payload = {"kmin": args.kmin, "kmax": args.kmax, "n": args.n,
                "count": len(ks), "rank": rank, "independent": independent,
                "matrix": matrix}
-    text = ["rank %d / %d: %s" % (rank, len(ks),
-                                  "independent" if independent else "DEPENDENT")]
-    return payload, text
+    return payload, lambda: ["rank %d / %d: %s" % (
+        rank, len(ks), "independent" if independent else "DEPENDENT")]
 
 
 def _cmd_selfcheck(args):
@@ -240,16 +247,16 @@ def _cmd_selfcheck(args):
                           for n, p, d in results]}
     if not ok:
         first = next(n for n, p, _ in results if not p)
-        raise InternalInvariantError(first, payload, lines)
-    return payload, lines
+        raise InternalInvariantError(first, payload, lambda: lines)
+    return payload, lambda: lines
 
 
 class InternalInvariantError(Exception):
-    def __init__(self, name, payload, lines):
+    def __init__(self, name, payload, text):
         super().__init__(name)
         self.name = name
         self.payload = payload
-        self.lines = lines
+        self.text = text
 
 
 def _common_options(**defaults):
@@ -366,13 +373,53 @@ _HANDLERS = {
 }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, built in
+    one direct pass.  It takes dicts with str keys, lists, tuples, str,
+    int, bool and None; anything else, a float included, is a TypeError."""
+    out = []
+    put = out.append
+
+    def emit(o, pad):
+        if isinstance(o, str):
+            put(_quote(o))
+        elif o is None or o is True or o is False:
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, dict):
+            inner, sep = pad + "  ", "{"
+            for key in sorted(o):  # _quote rejects a key that is not a str
+                put(sep + inner + _quote(key) + ": ")
+                emit(o[key], inner)
+                sep = ","
+            put(pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            inner, sep = pad + "  ", "["
+            for item in o:
+                put(sep + inner)
+                emit(item, inner)
+                sep = ","
+            put(pad + "]" if o else "[]")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+    emit(obj, "\n")
+    return "".join(out)
+
+
 def _render(args, payload, text, csv_rows=None):
+    """The output text; `text` and `csv_rows` are zero-argument functions
+    called only when their format is asked for."""
     if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload) + "\n"
     if args.format == "csv":
         return "".join(",".join(cell.replace(",", ";") for cell in row) + "\n"
-                       for row in csv_rows)
-    return "".join(line + "\n" for line in text)
+                       for row in csv_rows())
+    return "".join(line + "\n" for line in text())
 
 
 def _emit(args, rendered):
@@ -395,16 +442,13 @@ def main(argv=None):
             raise ValidationError("CSV output is provided for the fk matrix only")
         if getattr(args, "n", None) is not None and args.n < 3:
             raise ValidationError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
-        result = _HANDLERS[args.command](args)
-        payload, text = result[0], result[1]
-        csv_rows = result[2] if len(result) > 2 else None
-        _emit(args, _render(args, payload, text, csv_rows))
-    except ValueError as exc:
+        _emit(args, _render(args, *_HANDLERS[args.command](args)))
+    except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         try:
-            _emit(args, _render(args, exc.payload, exc.lines))
+            _emit(args, _render(args, exc.payload, exc.text))
         except ValidationError as err:
             print("error: %s" % err, file=sys.stderr)
         print("invariant violated: %s" % exc.name, file=sys.stderr)

@@ -15,6 +15,7 @@ integer exponent that was not killed, that monomial carries a single
 For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
+from . import DomainError
 from .intlat import IntMatrix, cokernel_structure
 from .laurent import LaurentPoly1, Terms
 
@@ -26,7 +27,7 @@ class LambdaContext:
 
     def __init__(self, w0, n):
         if n < 3:
-            raise ValueError("sphere dimension n must be >= 3")
+            raise DomainError("sphere dimension n must be >= 3")
         self.w0 = w0
         self.n = n
 
@@ -127,7 +128,7 @@ def relator_matrix(ctx, lo, hi):
     brute-force oracle against which lambda_reduce is checked.
     """
     if lo > hi:
-        raise ValueError("empty window")
+        raise DomainError("empty window")
     exps = list(range(lo, hi + 1))
     idx = {k: i for i, k in enumerate(exps)}
     sgn = 1 if ctx.n % 2 == 0 else -1  # coefficient of t^(W0-1-k)
@@ -154,7 +155,7 @@ def lambda_structure(ctx, window):
     lo, hi = window
     need = abs(ctx.w0) + 2
     if lo > -need or hi < need:
-        raise ValueError("window too small: need at least [-%d, %d]" % (need, need))
+        raise DomainError("window too small: need at least [-%d, %d]" % (need, need))
     m, _ = relator_matrix(ctx, lo, hi)
     return cokernel_structure(m)
 
@@ -176,7 +177,7 @@ def w2_alpha(i, ctx):
     reduced form is t^(i+1) - 2 t^i + t^(i-1).
     """
     if ctx.w0 != 1:
-        raise ValueError("alpha generators live on the W0 = 1 component")
+        raise DomainError("alpha generators live on the W0 = 1 component")
     return lambda_reduce(LaurentPoly1({i + 1: 1, i: -2, i - 1: 1}), ctx)
 
 
@@ -199,7 +200,7 @@ class AlphaCombination(Terms):
     def __init__(self, terms=None):
         terms = list(terms.items() if isinstance(terms, dict) else terms or ())
         if any(i < 1 for i, _ in terms):
-            raise ValueError("alpha indices are positive")
+            raise DomainError("alpha indices are positive")
         Terms.__init__(self, terms)
 
 
@@ -210,14 +211,14 @@ def cover_pullback(m, x):
     otherwise, extended linearly.
     """
     if m < 1:
-        raise ValueError("cover degree must be >= 1")
+        raise DomainError("cover degree must be >= 1")
     return AlphaCombination((i // m, m * c) for i, c in x.terms.items() if i % m == 0)
 
 
 def cover_kernel_iterate(x, m, depth):
     """True iff `depth` pullbacks along the m-fold cover annihilate x."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise DomainError("depth must be >= 1")
     cur = x
     for _ in range(depth):
         nxt = cover_pullback(m, cur)

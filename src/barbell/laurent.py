@@ -9,6 +9,8 @@ and in two commuting invertible variables (t1, t2).
 import re
 from itertools import chain
 
+from . import DomainError
+
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -19,7 +21,7 @@ def json_int(term, key):
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer or a decimal string, got %r" % (key, value))
+        raise DomainError("%s must be an integer or a decimal string, got %r" % (key, value))
     return value
 
 

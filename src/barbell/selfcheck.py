@@ -8,7 +8,7 @@ corrupted table (or a test fixture monkeypatching one) is caught here.
 
 import random
 
-from . import classes, hexagon, whitehead
+from . import DomainError, classes, hexagon, whitehead
 from .classes import GClass, d, delta, e, f_closed, f_level, g, gstar, w3
 from .hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                       hex_normal_form, orbit_of, orbit_relators, orbit_structure)
@@ -456,7 +456,7 @@ class Params:
 
     def __init__(self, kmax=12):
         if kmax < 3:
-            raise ValueError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
+            raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
         self.kmax = kmax
 
 

@@ -19,6 +19,7 @@ on index-disjoint products.  The canonical degree-(2n-1) basis is
                                              odd, l >= 0 for n even)
 """
 
+from . import DomainError
 from .laurent import LaurentPoly2
 
 _FACETS = ("t1=0", "t1=t2", "t2=t3", "t3=1")
@@ -102,7 +103,7 @@ class DegNElem:
 def deg_n_gen(i, j, exps=(0, 0, 0), n=3, coeff=1):
     """Normalize coeff * (t1^e1 t2^e2 t3^e3 . w_ij) to the canonical basis."""
     if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("point indices must lie in {1,2,3}")
+        raise DomainError("point indices must lie in {1,2,3}")
     if i == j or coeff == 0:
         return DegNElem(n)
     a = exps[i - 1] - exps[j - 1]
@@ -282,14 +283,14 @@ def facet_map(facet, x, a=0, n=None):
     invisible in bracket images, which the test-suite checks).
     """
     if facet not in _FACETS:
-        raise ValueError("unknown facet %r" % (facet,))
+        raise DomainError("unknown facet %r" % (facet,))
     data = _FACET_DATA[facet]
     if isinstance(x, DegNElem):
         nn = x.n if n is None else n
         out = DegNElem(nn)
         for (i, j, e), c in x.terms.items():
             if (i, j) != (1, 2):
-                raise ValueError("input must live on 2 points (w12 only)")
+                raise DomainError("input must live on 2 points (w12 only)")
             exps = tuple(e * v for v in data["t1"])
             for (u, v, extra) in data["w"]:
                 cc = c * a if extra else c
@@ -298,11 +299,11 @@ def facet_map(facet, x, a=0, n=None):
     if isinstance(x, BracketElem):
         nn = x.n if n is None else n
         if x.triple:
-            raise ValueError("input must live on 2 points (no triple part)")
+            raise DomainError("input must live on 2 points (no triple part)")
         out = BracketElem(nn)
         for (i, j, c0, l), c in x.pairs.items():
             if (i, j) != (1, 2):
-                raise ValueError("input must live on 2 points (w12 only)")
+                raise DomainError("input must live on 2 points (w12 only)")
             lhs = facet_map(facet, DegNElem(nn, {(1, 2, c0): 1}), a, nn)
             rhs = facet_map(facet, DegNElem(nn, {(1, 2, c0 + l): 1}), a, nn)
             out = out.add(bracket(lhs, rhs, nn).scale(c))

@@ -1,12 +1,18 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barbell.cli as cli
 import barbell.hexagon as hexagon
+from barbell import DomainError
 from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
+from barbell.intlat import IntMatrix
 from barbell.laurent import LaurentPoly1, LaurentPoly2
+from test_golden import FK, GOLDEN, HEX
 
 
 def run_cli(capsys, argv):
@@ -200,6 +206,7 @@ def test_validation_exit_codes(capsys, tmp_path):
                  hex_reduce + ['{"terms": [{"e1": " 7", "e2": 0, "c": "1"}]}'],
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "\u0663"}]}'],
                  hex_reduce + ["[" * 50000],
+                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": %s}]}' % ("1" * 5000)],
                  ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "x.json")],
                  ["lambda", "reduce", "--w0", "1", "--n", "3",
                   "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
@@ -225,6 +232,72 @@ def test_internal_fault_exits_3(capsys, monkeypatch, exc):
     assert code == 3
     assert out == ""
     assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_internal_value_error_exits_3(capsys, monkeypatch):
+    # a V of the wrong shape makes IntMatrix.mul raise a plain ValueError,
+    # which is a fault of the package, not of the input
+    assert issubclass(cli.ValidationError, DomainError)
+    broken = {key: (IntMatrix.identity(1), moduli)
+              for key, (_, moduli) in hexagon._SHAPE_SNF.items()}
+    monkeypatch.setattr(hexagon, "_SHAPE_SNF", broken)
+    code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "3", "--poly", HEX,
+                                      "--format", "json"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: shape mismatch in matrix product\n"
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u00e9\u2028\uffff'
+                                   "\U0001f600\U0010ffff"),
+                   st.characters())
+_TEXT = st.text(_CHARS, max_size=8)
+_HUGE = st.builds(lambda i, e: i * 10 ** e, st.integers(), st.integers(0, 80))
+_LEAVES = st.one_of(_TEXT, st.integers(), _HUGE, st.booleans(), st.none())
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+@PROPERTY
+@given(_TREES)
+def test_json_text_equals_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [0.5, {1, 2}, {1: "a"}, {"a": [1, {2: 3}]}, [float("nan")]],
+                         ids=["float", "set", "int key", "nested int key", "nan"])
+def test_json_text_rejects_what_is_not_the_contract(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def test_float_in_payload_exits_3(capsys, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "delta", lambda args: ({"k": 0.5}, lambda: []))
+    code, out, err = run_cli(capsys, ["delta", "--k", "4", "--format", "json"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: TypeError: ") and err.count("\n") == 1
+
+
+def test_json_never_formats_text(capsys, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("__repr__ called")
+
+    monkeypatch.setattr(hexagon.HexNormalForm, "__repr__", refuse)
+    monkeypatch.setattr(GClass, "__repr__", refuse)
+    digests = {tuple(argv): digest for argv, digest in GOLDEN}
+    for argv in (FK + ["--format", "json"],
+                 ["hex", "reduce", "--n", "3", "--poly", HEX, "--format", "json"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[tuple(argv)]
+        code, out, err = run_cli(capsys, argv[:-1] + ["text"])
+        assert (code, out) == (3, ""), argv
+        assert err == "internal error: RuntimeError: __repr__ called\n"
 
 
 def test_seed_flag_accepted(capsys):

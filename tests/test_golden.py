@@ -104,6 +104,11 @@ GOLDEN = [
      "0fd281b89f401017efccff2318842fce817ced6bf1c199b17d0eedcf56c73e16"),
     (["twist", "--k", "40", "--v", V40, "--w", W40, "--format", "json"],
      "69454d932405fecb80d1762631fe9e5688893c8a9c553dbe5de93a4aa00a6d67"),
+    # empty JSON containers: "orbits": [] and "entries": []
+    (["hex", "reduce", "--n", "3", "--poly", '{"terms":[]}', "--format", "json"],
+     "c8e93695ff91c92684308d47836ce40950658b5991cd5920b7bd0ff50b6f2040"),
+    (["independence", "--kmin", "3", "--kmax", "3", "--format", "json"],
+     "7a5f5eb671578122b4d19a0f62eb18d98f7ed5dfc8a95a431729f47a14059d6f"),
 ]
 
 

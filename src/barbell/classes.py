@@ -79,21 +79,40 @@ def _check_fk_args(k, p, q):
         raise DomainError("need 1 <= p, q <= k-1")
 
 
+def _level_form(k, level, p, q):
+    # the per-level case table: the roman form of the level-L entry, or
+    # None for zero
+    big_p = p >= k - level
+    big_q = q >= level
+    if big_p and big_q:
+        return "I"
+    if not big_p and not big_q:
+        return None
+    if big_p:  # q < level
+        return "IIr" if p + q >= k else "IIre"
+    # p < k - level, q >= level
+    return "IIb" if p + q >= k else "IIbe"
+
+
+def _form_class(form, p, q):
+    return GClass.zero() if form is None else roman(form, p, q)
+
+
 def f_level(k, level, p, q):
     """Level-L entry of the factored family, by the per-level case table."""
     _check_fk_args(k, p, q)
     if not 1 <= level <= k - 1:
         raise DomainError("need 1 <= L <= k-1")
-    big_p = p >= k - level
-    big_q = q >= level
-    if big_p and big_q:
-        return roman("I", p, q)
-    if not big_p and not big_q:
-        return GClass.zero()
-    if big_p:  # q < level
-        return roman("IIr" if p + q >= k else "IIre", p, q)
-    # p < k - level, q >= level
-    return roman("IIb" if p + q >= k else "IIbe", p, q)
+    return _form_class(_level_form(k, level, p, q), p, q)
+
+
+def f_levels(k, p, q):
+    """(f_level(k, L, p, q) for L = 1..k-1), one class built per distinct
+    case: levels in the same case share one GClass object."""
+    _check_fk_args(k, p, q)
+    forms = [_level_form(k, level, p, q) for level in range(1, k)]
+    built = {form: _form_class(form, p, q) for form in dict.fromkeys(forms)}
+    return tuple(map(built.__getitem__, forms))
 
 
 def _f_closed(k, p, q, c):

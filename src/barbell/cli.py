@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import DomainError, selfcheck as selfcheck_mod
-from .classes import GClass, delta, f_closed, f_level, independence_rank, twist_class, w3
+from .classes import GClass, delta, f_closed, f_levels, independence_rank, twist_class, w3
 from .hexagon import (HexElement, basis_change_12_to_13, basis_change_13_to_12,
                       hex_normal_form, orbit_of, orbit_structure)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_kernel_iterate,
@@ -161,10 +161,11 @@ def _cmd_fk(args):
     payload = {"k": k,
                "entries": [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
                            for p, q in sorted(mat)]}
-    if args.per_level:
+    if args.per_level and args.format == "json":  # text and CSV print none of it
+        cols = {pq: f_levels(k, *pq) for pq in sorted(mat)}
         payload["per_level"] = [
-            {"L": lvl, "p": p, "q": q, "class": f_level(k, lvl, p, q).to_json()}
-            for lvl in range(1, k) for p in range(1, k) for q in range(1, k)]
+            {"L": lvl, "p": p, "q": q, "class": cols[(p, q)][lvl - 1].to_json()}
+            for lvl in range(1, k) for p, q in cols]
     if args.check_skew:
         ok = all((mat[(p, q)] + mat[(q, p)]).is_zero()
                  for p in range(1, k) for q in range(1, k))

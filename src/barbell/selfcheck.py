@@ -9,7 +9,7 @@ corrupted table (or a test fixture monkeypatching one) is caught here.
 import random
 
 from . import DomainError, classes, hexagon, whitehead
-from .classes import GClass, d, delta, e, f_closed, f_level, g, gstar, w3
+from .classes import GClass, d, delta, e, f_closed, f_levels, g, gstar, w3
 from .hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                       hex_normal_form, orbit_of, orbit_relators, orbit_structure)
 from .intlat import IntMatrix, IntegerRowSpan, determinant, rank_over_rationals, smith_normal_form
@@ -356,7 +356,7 @@ def check_per_level_agreement(params):
     for k in range(2, params.kmax + 1):
         for p in range(1, k):
             for q in range(1, k):
-                if GClass.sum(f_level(k, lvl, p, q) for lvl in range(1, k)) != f_closed(k, p, q):
+                if GClass.sum(f_levels(k, p, q)) != f_closed(k, p, q):
                     _fail("per-level agreement", "k=%d p=%d q=%d" % (k, p, q))
 
 

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+from barbell import DomainError, classes, selfcheck
 from barbell.classes import (ROMAN_FORMS, GClass, d, delta, delta_expansion, e,
-                             f_closed, f_level, g, gstar, independence_rank, roman,
-                             twist_class, w3)
+                             f_closed, f_level, f_levels, g, gstar, independence_rank,
+                             roman, twist_class, w3)
 from barbell.hexagon import hex_normal_form
 from barbell.intlat import IntMatrix
 
@@ -105,22 +107,67 @@ def test_f_level_cases():
         f_level(5, 0, 1, 1)
     with pytest.raises(ValueError):
         f_level(5, 3, 5, 1)
+    for args in ((1, 1, 1), (5, 0, 1), (5, 5, 1), (5, 1, 0), (5, 1, 5)):
+        with pytest.raises(DomainError):
+            f_level(args[0], 1, *args[1:])
+        with pytest.raises(DomainError):
+            f_levels(*args)
 
 
 def test_per_level_sums_to_closed_form():
     # every (k, L, p, q) with k <= 16 also against the arithmetic
     # reference; the grid holds the zero-weight corners p = k-1, q = k-1
-    # and p + q + 1 = k of f_closed
+    # and p + q + 1 = k of f_closed.  f_levels builds one class per case,
+    # shared by every level in that case.
     for k in range(2, 17):
         for p in range(1, k):
             for q in range(1, k):
                 assert f_closed(k, p, q) == _ref_f_closed(k, p, q), (k, p, q)
+                column = f_levels(k, p, q)
+                assert type(column) is tuple and len(column) == k - 1
+                shared = {}
                 acc = GClass.zero()
                 for lvl in range(1, k):
                     level = f_level(k, lvl, p, q)
                     assert level == _ref_f_level(k, lvl, p, q), (k, lvl, p, q)
+                    assert column[lvl - 1] == level, (k, lvl, p, q)
+                    form = classes._level_form(k, lvl, p, q)
+                    assert shared.setdefault(form, column[lvl - 1]) is column[lvl - 1]
                     acc = acc + level
                 assert acc == f_closed(k, p, q)
+
+
+def test_level_case_counts_are_closed_form_weights():
+    # integers only: the number of levels in each case is the weight of
+    # that roman form in f_closed, for every k <= 60
+    for k in range(2, 61):
+        for p in range(1, k):
+            for q in range(1, k):
+                if p + q < k:
+                    weights = {"IIre": p, "IIbe": q}
+                else:
+                    weights = {"IIb": k - p - 1, "IIr": k - q - 1, "I": p + q + 1 - k}
+                weights[None] = k - 1 - sum(weights.values())
+                counts = Counter(classes._level_form(k, lvl, p, q) for lvl in range(1, k))
+                assert counts == Counter(weights), (k, p, q)
+
+
+def test_per_level_sweep_evaluates_every_level(monkeypatch):
+    # the per-level check samples the case table at every (k, L, p, q) and
+    # compares with f_closed once per (k, p, q); it does not count cases
+    calls = {"_level_form": 0, "f_closed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classes, "_level_form", counted("_level_form", classes._level_form))
+    monkeypatch.setattr(selfcheck, "f_closed", counted("f_closed", selfcheck.f_closed))
+    selfcheck.check_per_level_agreement(selfcheck.Params(kmax=8))
+    # sum of (k-1)^3 and of (k-1)^2 over 2 <= k <= 8
+    assert calls == {"_level_form": 784, "f_closed": 140}
 
 
 def test_twist_matches_scaled_sum():

@@ -55,6 +55,26 @@ def test_fk_csv_matrix(capsys):
     assert lines[0].startswith("p\\q,")
 
 
+def test_fk_per_level_built_only_for_json(capsys, monkeypatch):
+    # text and CSV print no per-level block, so they never build one; the
+    # digests are those of the same argv without --per-level
+    def refuse(k, p, q):
+        raise RuntimeError("per-level block built")
+
+    monkeypatch.setattr(cli, "f_levels", refuse)
+    for argv, digest in (
+            (["fk", "--k", "30", "--per-level", "--format", "text"],
+             "9b695c1dac70e50a32cff9a5ba83f061596060bbab40fb8813501f1379ce600a"),
+            (["fk", "--k", "16", "--per-level", "--format", "csv"],
+             "2666a5ab7e5dd99dc9139c7c23dd21eb8b6151cb2b1cc8c0d275e9b9aabfbbb0")):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    code, out, err = run_cli(capsys, ["fk", "--k", "3", "--per-level", "--format", "json"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: per-level block built\n"
+
+
 def test_csv_rejected_elsewhere(capsys):
     code, _, err = run_cli(capsys, ["delta", "--k", "4", "--format", "csv"])
     assert code == 2

@@ -109,6 +109,12 @@ GOLDEN = [
      "c8e93695ff91c92684308d47836ce40950658b5991cd5920b7bd0ff50b6f2040"),
     (["independence", "--kmin", "3", "--kmax", "3", "--format", "json"],
      "7a5f5eb671578122b4d19a0f62eb18d98f7ed5dfc8a95a431729f47a14059d6f"),
+    # per-level blocks of both chambers and the p = q lines, whose levels
+    # share one class per case; text prints no per-level block
+    (["fk", "--k", "20", "--per-level", "--format", "json"],
+     "8fb6c34d571e6262ecbf70d1d9b794eb4a0b425619d6684d5431731a876354bf"),
+    (["fk", "--k", "30", "--per-level", "--format", "text"],
+     "9b695c1dac70e50a32cff9a5ba83f061596060bbab40fb8813501f1379ce600a"),
 ]
 
 

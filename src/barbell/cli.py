@@ -3,7 +3,10 @@
 Every subcommand is deterministic: identical argv yields byte-identical
 output.  JSON is the stable machine contract, text is for humans, and
 CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2
-validation error, 3 internal invariant violation or any other fault.
+validation error, 3 a failed selfcheck invariant (its report, then
+`invariant violated: <name>` on stderr) or any other internal fault (one
+`internal error: <Type>: <message>` line on stderr, an AssertionError
+included).
 Handlers return the JSON payload with zero-argument functions for the
 text lines (and, for fk, the CSV rows), so only the format asked for is
 ever formatted.
@@ -110,12 +113,9 @@ def _cmd_whitehead(args):
         return payload, lambda: ["image: %r" % img]
     lo, hi = _parse_window(args.window)
     rels = derive_R_relators(args.n, (lo, hi))
-    entries = []
-    for (a, b), rel in rels:
-        poly = rel.triple_poly()
-        entries.append({"alpha": a, "beta": b,
-                        "relator": [{"e1": x, "e3": y, "c": str(poly.terms[(x, y)])}
-                                    for x, y in sorted(poly.terms)]})
+    # a relator has no pair terms: derive_R_relators checks they cancel
+    entries = [{"alpha": a, "beta": b, "relator": _bracket_json(rel)["triple"]}
+               for (a, b), rel in rels]
     return ({"n": args.n, "window": [lo, hi], "relators": entries},
             lambda: ["(%d, %d): %r" % (a, b, rel) for (a, b), rel in rels])
 
@@ -453,9 +453,6 @@ def main(argv=None):
         except ValidationError as err:
             print("error: %s" % err, file=sys.stderr)
         print("invariant violated: %s" % exc.name, file=sys.stderr)
-        return 3
-    except AssertionError as exc:
-        print("internal invariant violation: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -264,6 +264,16 @@ def _nonzero(row):
     return ((j, c) for j, c in items if c)
 
 
+def _subtract(v, q, row):
+    # v -= q * row, in place on sparse {column: value} dicts; no zero stored
+    for k, c in row.items():
+        c = v.get(k, 0) - q * c
+        if c:
+            v[k] = c
+        else:
+            v.pop(k, None)
+
+
 def pivots(rows):
     """Forward Gaussian elimination over Q of an iterable of rows, row by row.
 
@@ -288,13 +298,7 @@ def pivots(rows):
                 basis[j] = {k: c / value for k, c in row.items()}
                 out.append((j, value))
                 break
-            f = row[j]
-            for k, c in piv.items():
-                c = row.get(k, 0) - f * c
-                if c:
-                    row[k] = c
-                else:
-                    del row[k]
+            _subtract(row, row[j], piv)
     return out
 
 
@@ -350,25 +354,19 @@ class IntegerRowSpan:
                 return
             a, b = row[j], v[j]
             if b % a == 0:
-                q = b // a
-                for k, c in row.items():
-                    nc = v.get(k, 0) - q * c
-                    if nc:
-                        v[k] = nc
-                    else:
-                        v.pop(k, None)
+                _subtract(v, b // a, row)
             else:
+                # one unimodular 2x2 transform on (row, v): gcd at the pivot
                 g, x, y = xgcd(a, b)
-                new_row = {}
+                ag, bg = a // g, b // g
+                new_row, new_v = {}, {}
                 for k in set(row) | set(v):
-                    c = x * row.get(k, 0) + y * v.get(k, 0)
+                    r, w = row.get(k, 0), v.get(k, 0)
+                    c, d = x * r + y * w, ag * w - bg * r
                     if c:
                         new_row[k] = c
-                new_v = {}
-                for k in set(row) | set(v):
-                    c = (a // g) * v.get(k, 0) - (b // g) * row.get(k, 0)
-                    if c:
-                        new_v[k] = c
+                    if d:
+                        new_v[k] = d
                 self.rows[j] = new_row
                 v = new_v
 
@@ -379,13 +377,7 @@ class IntegerRowSpan:
             row = self.rows.get(j)
             if row is None or v[j] % row[j]:
                 return False
-            q = v[j] // row[j]
-            for k, c in row.items():
-                nc = v.get(k, 0) - q * c
-                if nc:
-                    v[k] = nc
-                else:
-                    v.pop(k, None)
+            _subtract(v, v[j] // row[j], row)
         return True
 
     def covers(self, other):

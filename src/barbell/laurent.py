@@ -1,9 +1,10 @@
 """Sparse term algebra over arbitrary-precision integers.
 
-`Terms` is the free Z-module arithmetic shared by every sparse class in
-the package: integer coefficients stored as key -> coeff with no zero
-ever stored.  Here it backs the Laurent polynomials in one variable t
-and in two commuting invertible variables (t1, t2).
+`combine` sums (key, coeff) pairs into key -> coeff with no zero ever
+stored; every sparse class in the package normalises through it.
+`Terms` is the free Z-module arithmetic on such dicts.  Here it backs
+the Laurent polynomials in one variable t and in two commuting
+invertible variables (t1, t2).
 """
 
 import re
@@ -25,6 +26,20 @@ def json_int(term, key):
     return value
 
 
+def combine(terms):
+    """key -> summed coeff of a dict or an iterable of (key, coeff) pairs,
+    with no zero stored."""
+    d = {}
+    if terms:
+        for k, c in (terms.items() if isinstance(terms, dict) else terms):
+            c = d.get(k, 0) + c
+            if c:
+                d[k] = c
+            else:
+                d.pop(k, None)
+    return d
+
+
 class Terms:
     """Sparse integer combination of basis keys, stored as key -> coeff.
 
@@ -37,15 +52,7 @@ class Terms:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = d.get(k, 0) + c
-                if c:
-                    d[k] = c
-                else:
-                    d.pop(k, None)
-        self.terms = d
+        self.terms = combine(terms)
 
     @classmethod
     def zero(cls):
@@ -67,15 +74,8 @@ class Terms:
         cls = type(self)
         if type(other) is not cls:
             raise TypeError("cannot add %s to %s" % (type(other).__name__, cls.__name__))
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            c = d.get(k, 0) + c
-            if c:
-                d[k] = c
-            else:
-                del d[k]
         out = object.__new__(cls)
-        out.terms = d
+        out.terms = combine(chain(self.terms.items(), other.terms.items()))
         return out
 
     __add__ = add

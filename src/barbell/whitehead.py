@@ -19,8 +19,10 @@ on index-disjoint products.  The canonical degree-(2n-1) basis is
                                              odd, l >= 0 for n even)
 """
 
+from itertools import chain
+
 from . import DomainError
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, combine
 
 _FACETS = ("t1=0", "t1=t2", "t2=t3", "t3=1")
 
@@ -50,7 +52,7 @@ class DegNElem:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {k: c for k, c in dict(terms or ()).items() if c}
+        self.terms = combine(terms)
 
     def is_zero(self):
         return not self.terms
@@ -58,14 +60,7 @@ class DegNElem:
     def add(self, other):
         if self.n != other.n:
             raise ValueError("mismatched sphere dimension")
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = d.get(k, 0) + c
-            if c2:
-                d[k] = c2
-            else:
-                del d[k]
-        return DegNElem(self.n, d)
+        return DegNElem(self.n, chain(self.terms.items(), other.terms.items()))
 
     __add__ = add
 
@@ -73,21 +68,12 @@ class DegNElem:
         return self.add(other.scale(-1))
 
     def scale(self, a):
-        if a == 0:
-            return DegNElem(self.n)
-        return DegNElem(self.n, {k: a * c for k, c in self.terms.items()})
+        return DegNElem(self.n, [(k, a * c) for k, c in self.terms.items()])
 
     def act(self, exps):
         """Apply the group-ring monomial t1^e1 t2^e2 t3^e3."""
-        d = {}
-        for (i, j, a), c in self.terms.items():
-            k = (i, j, a + exps[i - 1] - exps[j - 1])
-            c2 = d.get(k, 0) + c
-            if c2:
-                d[k] = c2
-            else:
-                del d[k]
-        return DegNElem(self.n, d)
+        return DegNElem(self.n, [((i, j, a + exps[i - 1] - exps[j - 1]), c)
+                                 for (i, j, a), c in self.terms.items()])
 
     def __eq__(self, other):
         return (isinstance(other, DegNElem) and self.n == other.n
@@ -125,8 +111,8 @@ class BracketElem:
 
     def __init__(self, n, triple=None, pairs=None):
         self.n = n
-        self.triple = {k: c for k, c in dict(triple or ()).items() if c}
-        self.pairs = {k: c for k, c in dict(pairs or ()).items() if c}
+        self.triple = combine(triple)
+        self.pairs = combine(pairs)
 
     def is_zero(self):
         return not self.triple and not self.pairs
@@ -134,21 +120,8 @@ class BracketElem:
     def add(self, other):
         if self.n != other.n:
             raise ValueError("mismatched sphere dimension")
-        t = dict(self.triple)
-        for k, c in other.triple.items():
-            c2 = t.get(k, 0) + c
-            if c2:
-                t[k] = c2
-            else:
-                del t[k]
-        p = dict(self.pairs)
-        for k, c in other.pairs.items():
-            c2 = p.get(k, 0) + c
-            if c2:
-                p[k] = c2
-            else:
-                del p[k]
-        return BracketElem(self.n, t, p)
+        return BracketElem(self.n, chain(self.triple.items(), other.triple.items()),
+                           chain(self.pairs.items(), other.pairs.items()))
 
     __add__ = add
 
@@ -156,23 +129,16 @@ class BracketElem:
         return self.add(other.scale(-1))
 
     def scale(self, a):
-        if a == 0:
-            return BracketElem(self.n)
-        return BracketElem(self.n,
-                           {k: a * c for k, c in self.triple.items()},
-                           {k: a * c for k, c in self.pairs.items()})
+        return BracketElem(self.n, [(k, a * c) for k, c in self.triple.items()],
+                           [(k, a * c) for k, c in self.pairs.items()])
 
     def act(self, exps):
-        out = BracketElem(self.n)
         e1, e2, e3 = exps
-        for (a, b), c in self.triple.items():
-            k = (a + e1 - e2, b + e3 - e2)
-            out.triple[k] = out.triple.get(k, 0) + c
-        for (i, j, c0, l), c in self.pairs.items():
-            _accumulate_pair(out, i, j, c0 + exps[i - 1] - exps[j - 1], l, c, self.n)
-        out.triple = {k: c for k, c in out.triple.items() if c}
-        out.pairs = {k: c for k, c in out.pairs.items() if c}
-        return out
+        return BracketElem(
+            self.n,
+            [((a + e1 - e2, b + e3 - e2), c) for (a, b), c in self.triple.items()],
+            _pair_terms(self.n, [(i, j, c0 + exps[i - 1] - exps[j - 1], l, c)
+                                 for (i, j, c0, l), c in self.pairs.items()]))
 
     def drop_edge_pairs(self):
         """Forget pair terms on (1,2) and (2,3).
@@ -201,22 +167,16 @@ class BracketElem:
         return "".join(bits)
 
 
-def _accumulate_pair(out, i, j, c0, l, coeff, n):
-    # canonical pair index range: l >= 1 (n odd), l >= 0 (n even);
-    # below that, one graded swap [f,g] = (-1)^n [g,f] folds l to -l
-    if coeff == 0:
-        return
-    if l < 0:
-        coeff *= _parity_sign(n)
-        c0, l = c0 + l, -l
-    if l == 0 and n % 2:
-        return  # [x, x] is 2-torsion for n odd, zero rationally
-    k = (i, j, c0, l)
-    c2 = out.pairs.get(k, 0) + coeff
-    if c2:
-        out.pairs[k] = c2
-    else:
-        del out.pairs[k]
+def _pair_terms(n, terms):
+    # (key, coeff) pairs of t_i^c0 [w_ij, t_i^l w_ij] for (i, j, c0, l, coeff)
+    # in terms, in the canonical pair index range: l >= 1 (n odd), l >= 0
+    # (n even); below that, one graded swap [f,g] = (-1)^n [g,f] folds l to -l
+    sign = _parity_sign(n)
+    for i, j, c0, l, coeff in terms:
+        if l < 0:
+            c0, l, coeff = c0 + l, -l, sign * coeff
+        if l or n % 2 == 0:  # [x, x] is 2-torsion for n odd, zero rationally
+            yield (i, j, c0, l), coeff
 
 
 def _triple_sign(pair1, pair2, n):
@@ -232,13 +192,13 @@ def bracket(x, y, n=None):
         n = x.n
     if x.n != n or y.n != n:
         raise ValueError("mismatched sphere dimension")
-    out = BracketElem(n)
+    triple, pairs = [], []
     for (i1, j1, a), c1 in x.terms.items():
         for (i2, j2, b), c2 in y.terms.items():
             coeff = c1 * c2
             if (i1, j1) == (i2, j2):
                 # [t_i^a w_ij, t_i^b w_ij] = t_i^a [w_ij, t_i^(b-a) w_ij]
-                _accumulate_pair(out, i1, j1, a, b - a, coeff, n)
+                pairs.append((i1, j1, a, b - a, coeff))
                 continue
             # one shared index: solve for the acting monomial with the
             # shared coordinate pinned to zero, then reduce the plain
@@ -250,14 +210,9 @@ def bracket(x, y, n=None):
                     mu[j - 1] = -e
                 else:
                     mu[i - 1] = e
-            sign = _triple_sign((i1, j1), (i2, j2), n)
-            k = (mu[0] - mu[1], mu[2] - mu[1])
-            c2t = out.triple.get(k, 0) + sign * coeff
-            if c2t:
-                out.triple[k] = c2t
-            else:
-                del out.triple[k]
-    return out
+            triple.append(((mu[0] - mu[1], mu[2] - mu[1]),
+                           _triple_sign((i1, j1), (i2, j2), n) * coeff))
+    return BracketElem(n, triple, _pair_terms(n, pairs))
 
 
 # facet substitutions on the 2-point generators: image of w12 as a list of
@@ -284,31 +239,31 @@ def facet_map(facet, x, a=0, n=None):
     """
     if facet not in _FACETS:
         raise DomainError("unknown facet %r" % (facet,))
+    if not isinstance(x, (DegNElem, BracketElem)):
+        raise TypeError("expected a DegNElem or BracketElem")
     data = _FACET_DATA[facet]
+    nn = x.n if n is None else n
     if isinstance(x, DegNElem):
-        nn = x.n if n is None else n
-        out = DegNElem(nn)
+        terms = []
         for (i, j, e), c in x.terms.items():
             if (i, j) != (1, 2):
                 raise DomainError("input must live on 2 points (w12 only)")
             exps = tuple(e * v for v in data["t1"])
             for (u, v, extra) in data["w"]:
-                cc = c * a if extra else c
-                out = out.add(deg_n_gen(u, v, exps, nn, cc))
-        return out
-    if isinstance(x, BracketElem):
-        nn = x.n if n is None else n
-        if x.triple:
-            raise DomainError("input must live on 2 points (no triple part)")
-        out = BracketElem(nn)
-        for (i, j, c0, l), c in x.pairs.items():
-            if (i, j) != (1, 2):
-                raise DomainError("input must live on 2 points (w12 only)")
-            lhs = facet_map(facet, DegNElem(nn, {(1, 2, c0): 1}), a, nn)
-            rhs = facet_map(facet, DegNElem(nn, {(1, 2, c0 + l): 1}), a, nn)
-            out = out.add(bracket(lhs, rhs, nn).scale(c))
-        return out
-    raise TypeError("expected a DegNElem or BracketElem")
+                terms += deg_n_gen(u, v, exps, nn, c * a if extra else c).terms.items()
+        return DegNElem(nn, terms)
+    if x.triple:
+        raise DomainError("input must live on 2 points (no triple part)")
+    triple, pairs = [], []
+    for (i, j, c0, l), c in x.pairs.items():
+        if (i, j) != (1, 2):
+            raise DomainError("input must live on 2 points (w12 only)")
+        # the bracket is bilinear, so c scales the first factor
+        img = bracket(facet_map(facet, DegNElem(nn, {(1, 2, c0): c}), a, nn),
+                      facet_map(facet, DegNElem(nn, {(1, 2, c0 + l): 1}), a, nn), nn)
+        triple += img.triple.items()
+        pairs += img.pairs.items()
+    return BracketElem(nn, triple, pairs)
 
 
 def pair_bracket(alpha, beta, n):

@@ -240,10 +240,11 @@ def test_validation_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom")],
-                         ids=["KeyError", "TypeError"])
+@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom"), AssertionError("boom")],
+                         ids=["KeyError", "TypeError", "AssertionError"])
 def test_internal_fault_exits_3(capsys, monkeypatch, exc):
-    # any exception that is not a validation error is an internal fault
+    # any exception that is not a validation error is an internal fault,
+    # reported in one format whatever its type
     def broken(k, p, q):
         raise exc
 

@@ -115,6 +115,13 @@ GOLDEN = [
      "8fb6c34d571e6262ecbf70d1d9b794eb4a0b425619d6684d5431731a876354bf"),
     (["fk", "--k", "30", "--per-level", "--format", "text"],
      "9b695c1dac70e50a32cff9a5ba83f061596060bbab40fb8813501f1379ce600a"),
+    # even n: pair folds pick up the graded-swap sign and keep l = 0
+    (["whitehead", "relators", "--n", "4", "--window=-5,5", "--format", "json"],
+     "5ffdce86e11532a4c67713f507489f43df00a06d3a5428bf5101676e2ca7e8b6"),
+    # nonzero velocity degree on a doubling facet, text output
+    (["whitehead", "facet", "--facet", "t2=t3", "--alpha", "3", "--beta", "-2",
+      "--n", "3", "--a1", "4", "--format", "text"],
+     "b453cc4c5e2229fe4113b8be9955bf3cce6a8f2eb49910f7d554c40c465945bb"),
 ]
 
 

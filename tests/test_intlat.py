@@ -203,6 +203,9 @@ def test_row_span_membership_agrees_with_snf():
         span = IntegerRowSpan()
         for row in m.data:
             span.add(row)
+        # echelon rows: sparse, no zero stored, positive pivot at their least column
+        for j, row in span.rows.items():
+            assert 0 not in row.values() and min(row) == j and row[j] > 0
         for _ in range(8):
             vec = [rng.randrange(-6, 7) for _ in range(m.cols)]
             y = [sum(vec[i] * v.data[i][j] for i in range(m.cols))

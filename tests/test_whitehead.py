@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import barbell.whitehead as whitehead
 from barbell.hexagon import basis_change_12_to_13, k_relator
 from barbell.laurent import LaurentPoly2
 from barbell.whitehead import (BracketElem, DegNElem, bracket, deg_n_gen,
@@ -25,6 +26,14 @@ def test_zero_coefficients_are_dropped():
     el = BracketElem(3, triple={(0, 0): 0}, pairs={(1, 2, 0, 1): 0})
     assert el == BracketElem(3) and el.is_zero()
     assert BracketElem(3, triple={(0, 0): 0, (1, 2): -1}) == triple(3, {(1, 2): -1})
+    # a list of (key, coeff) pairs sums repeated keys
+    assert DegNElem(3, [((1, 2, 0), 1), ((1, 2, 0), -1)]).is_zero()
+    assert DegNElem(4, [((1, 3, 2), 2), ((2, 3, 0), 1), ((1, 3, 2), 3)]) == \
+        DegNElem(4, {(1, 3, 2): 5, (2, 3, 0): 1})
+    el = BracketElem(3, triple=[((0, 1), 2), ((1, 1), 4), ((0, 1), -2), ((1, 1), 1)],
+                     pairs=[((1, 2, 0, 1), 3), ((1, 3, 2, 2), -1), ((1, 2, 0, 1), 4)])
+    assert el == BracketElem(3, triple={(1, 1): 5},
+                             pairs={(1, 2, 0, 1): 7, (1, 3, 2, 2): -1})
 
 
 def test_flip_sign_depends_on_parity():
@@ -177,3 +186,129 @@ def test_derived_equals_hardcoded_up_to_sign():
             got = basis_change_12_to_13(rel.triple_poly())
             want = k_relator(ab[0], ab[1], n)
             assert got == want or got == want.neg(), (n, ab)
+
+
+# Dict-merging references for bracket, BracketElem.act and facet_map that
+# use neither laurent.combine nor the .add methods; each returns plain dicts.
+
+def _merge(d, terms, c=1):
+    for k, v in terms.items():
+        v = d.get(k, 0) + c * v
+        if v:
+            d[k] = v
+        else:
+            del d[k]
+
+
+def _ref_pair(pairs, i, j, c0, l, coeff, n):
+    if coeff == 0:
+        return
+    if l < 0:
+        coeff *= -1 if n % 2 else 1
+        c0, l = c0 + l, -l
+    if l == 0 and n % 2:
+        return
+    _merge(pairs, {(i, j, c0, l): coeff})
+
+
+def _ref_bracket(x, y, n):
+    triple, pairs = {}, {}
+    for (i1, j1, a), c1 in x.terms.items():
+        for (i2, j2, b), c2 in y.terms.items():
+            coeff = c1 * c2
+            if (i1, j1) == (i2, j2):
+                _ref_pair(pairs, i1, j1, a, b - a, coeff, n)
+                continue
+            shared = ({i1, j1} & {i2, j2}).pop()
+            mu = [0, 0, 0]
+            for (i, j, e) in ((i1, j1, a), (i2, j2, b)):
+                if i == shared:
+                    mu[j - 1] = -e
+                else:
+                    mu[i - 1] = e
+            sign = whitehead._triple_sign((i1, j1), (i2, j2), n)
+            _merge(triple, {(mu[0] - mu[1], mu[2] - mu[1]): sign * coeff})
+    return triple, pairs
+
+
+def _ref_act(triple, pairs, exps, n):
+    t, p = {}, {}
+    e1, e2, e3 = exps
+    for (a, b), c in triple.items():
+        k = (a + e1 - e2, b + e3 - e2)
+        t[k] = t.get(k, 0) + c
+    for (i, j, c0, l), c in pairs.items():
+        _ref_pair(p, i, j, c0 + exps[i - 1] - exps[j - 1], l, c, n)
+    return {k: c for k, c in t.items() if c}, {k: c for k, c in p.items() if c}
+
+
+def _ref_facet_map(facet, x, a, n):
+    data = whitehead._FACET_DATA[facet]
+    if isinstance(x, DegNElem):
+        terms = {}
+        for (_, _, e), c in x.terms.items():
+            exps = tuple(e * v for v in data["t1"])
+            for (u, v, extra) in data["w"]:
+                _merge(terms, deg_n_gen(u, v, exps, n, c * a if extra else c).terms)
+        return terms
+    triple, pairs = {}, {}
+    for (_, _, c0, l), c in x.pairs.items():
+        lhs = DegNElem(n, _ref_facet_map(facet, DegNElem(n, {(1, 2, c0): 1}), a, n))
+        rhs = DegNElem(n, _ref_facet_map(facet, DegNElem(n, {(1, 2, c0 + l): 1}), a, n))
+        t, p = _ref_bracket(lhs, rhs, n)
+        _merge(triple, t, c)
+        _merge(pairs, p, c)
+    return triple, pairs
+
+
+def _rand_terms(rng, keys):
+    # (key, coeff) pairs with repeated keys and zero coefficients
+    pool = [(i, j, rng.randrange(-5, 6)) for _ in range(3) for i, j in keys]
+    return [(rng.choice(pool), rng.randrange(-2, 3)) for _ in range(rng.randrange(0, 7))]
+
+
+def test_bracket_and_act_match_dict_merging_reference():
+    rng = random.Random(1010)
+    keys = ((1, 2), (1, 3), (2, 3))
+    for n in (3, 4, 5, 6):
+        for _ in range(60):
+            xs, ys = _rand_terms(rng, keys), _rand_terms(rng, keys)
+            summed = {}
+            for k, c in xs:
+                summed[k] = summed.get(k, 0) + c
+            x, y = DegNElem(n, xs), DegNElem(n, ys)
+            assert x.terms == {k: c for k, c in summed.items() if c}
+            mu = tuple(rng.randrange(-3, 4) for _ in range(3))
+            assert x.act(mu).terms == {(i, j, a + mu[i - 1] - mu[j - 1]): c
+                                       for (i, j, a), c in x.terms.items()}
+            got = bracket(x, y, n)
+            ref = _ref_bracket(x, y, n)
+            assert (got.triple, got.pairs) == ref
+            moved = got.act(mu)
+            assert moved.n == n
+            assert (moved.triple, moved.pairs) == _ref_act(*ref, mu, n)
+
+
+def test_bracket_and_facet_map_build_without_add(monkeypatch):
+    rng = random.Random(2020)
+    keys = ((1, 2), (1, 3), (2, 3))
+    cases = []
+    for n in (3, 4, 5, 6):
+        for _ in range(15):
+            x, y = DegNElem(n, _rand_terms(rng, keys)), DegNElem(n, _rand_terms(rng, keys))
+            w12 = DegNElem(n, _rand_terms(rng, ((1, 2),)))
+            p = pair_bracket(rng.randrange(-5, 6), rng.randrange(-5, 6), n)
+            cases.append((n, x, y, w12, p, rng.choice(whitehead._FACETS),
+                          rng.randrange(-3, 4)))
+
+    def broken(self, other):
+        raise AssertionError("add called")
+
+    monkeypatch.setattr(DegNElem, "add", broken)
+    monkeypatch.setattr(BracketElem, "add", broken)
+    for n, x, y, w12, p, facet, a in cases:
+        got = bracket(x, y, n)
+        assert (got.triple, got.pairs) == _ref_bracket(x, y, n)
+        assert facet_map(facet, w12, a, n).terms == _ref_facet_map(facet, w12, a, n)
+        img = facet_map(facet, p, a, n)
+        assert (img.triple, img.pairs) == _ref_facet_map(facet, p, a, n)

@@ -13,6 +13,7 @@ from itertools import chain
 from . import DomainError
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_END = object()  # closes the last run in Terms.sum
 
 
 def json_int(term, key):
@@ -60,12 +61,25 @@ class Terms:
 
     @classmethod
     def sum(cls, items):
-        """Sum of an iterable of cls instances, built in one constructor pass."""
-        def terms(x):
-            if type(x) is not cls:
-                raise TypeError("cannot add %s to %s" % (type(x).__name__, cls.__name__))
-            return x.terms.items()
-        return cls(chain.from_iterable(map(terms, items)))
+        """Sum of an iterable of cls instances, built in one constructor pass.
+
+        A run of m consecutive references to one object streams its terms
+        once, each coefficient times m; only the current run is held.
+        """
+        def pairs():
+            run, m = _END, 0
+            for x in chain(items, (_END,)):
+                if x is run:
+                    m += 1
+                    continue
+                if m == 1:
+                    yield from run.terms.items()
+                elif m:
+                    yield from ((k, m * c) for k, c in run.terms.items())
+                if type(x) is not cls and x is not _END:
+                    raise TypeError("cannot add %s to %s" % (type(x).__name__, cls.__name__))
+                run, m = x, 1
+        return cls(pairs())
 
     def is_zero(self):
         return not self.terms

@@ -229,20 +229,21 @@ _FACET_DATA = {
 }
 
 
-def facet_map(facet, x, a=0, n=None):
+def facet_map(facet, x, a=0):
     """Image of a 2-point element under one of the four facet inclusions.
 
     `x` is a DegNElem or BracketElem supported on the w12 generators of
     the 2-point configuration space; `a` is the velocity degree of the
     doubled point (facets t1=t2 and t2=t3 only -- it is provably
-    invisible in bracket images, which the test-suite checks).
+    invisible in bracket images, which the test-suite checks).  The
+    image lives in x's dimension x.n.
     """
     if facet not in _FACETS:
         raise DomainError("unknown facet %r" % (facet,))
     if not isinstance(x, (DegNElem, BracketElem)):
         raise TypeError("expected a DegNElem or BracketElem")
     data = _FACET_DATA[facet]
-    nn = x.n if n is None else n
+    n = x.n
     if isinstance(x, DegNElem):
         terms = []
         for (i, j, e), c in x.terms.items():
@@ -250,8 +251,8 @@ def facet_map(facet, x, a=0, n=None):
                 raise DomainError("input must live on 2 points (w12 only)")
             exps = tuple(e * v for v in data["t1"])
             for (u, v, extra) in data["w"]:
-                terms += deg_n_gen(u, v, exps, nn, c * a if extra else c).terms.items()
-        return DegNElem(nn, terms)
+                terms += deg_n_gen(u, v, exps, n, c * a if extra else c).terms.items()
+        return DegNElem(n, terms)
     if x.triple:
         raise DomainError("input must live on 2 points (no triple part)")
     triple, pairs = [], []
@@ -259,11 +260,11 @@ def facet_map(facet, x, a=0, n=None):
         if (i, j) != (1, 2):
             raise DomainError("input must live on 2 points (w12 only)")
         # the bracket is bilinear, so c scales the first factor
-        img = bracket(facet_map(facet, DegNElem(nn, {(1, 2, c0): c}), a, nn),
-                      facet_map(facet, DegNElem(nn, {(1, 2, c0 + l): 1}), a, nn), nn)
+        img = bracket(facet_map(facet, DegNElem(n, {(1, 2, c0): c}), a),
+                      facet_map(facet, DegNElem(n, {(1, 2, c0 + l): 1}), a), n)
         triple += img.triple.items()
         pairs += img.pairs.items()
-    return BracketElem(nn, triple, pairs)
+    return BracketElem(n, triple, pairs)
 
 
 def pair_bracket(alpha, beta, n):
@@ -285,7 +286,7 @@ def derive_R_relators(n, window):
     for alpha in range(lo, hi + 1):
         for beta in range(lo, hi + 1):
             p = pair_bracket(alpha, beta, n)
-            rel = (facet_map("t2=t3", p, 0, n) - facet_map("t1=t2", p, 0, n))
+            rel = (facet_map("t2=t3", p) - facet_map("t1=t2", p))
             rel = rel.drop_edge_pairs()
             if rel.pairs:
                 raise AssertionError("w13 pair terms failed to cancel at "

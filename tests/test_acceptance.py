@@ -157,14 +157,14 @@ def test_criterion_11_facet_computations():
         for a in range(-3, 4):
             for b in range(-3, 4):
                 p = pair_bracket(a, b, n)
-                img = facet_map("t1=0", p, 0, n)
+                img = facet_map("t1=0", p)
                 assert img == bracket(deg_n_gen(2, 3, (0, a, 0), n),
                                       deg_n_gen(2, 3, (0, b, 0), n), n)
-                assert facet_map("t3=1", p, 0, n) == p
+                assert facet_map("t3=1", p) == p
                 for facet in ("t1=t2", "t2=t3"):
                     display = _doubling_display(facet, a, b, n)
                     for vel in range(-3, 4):
-                        got = facet_map(facet, p, vel, n).drop_edge_pairs()
+                        got = facet_map(facet, p, vel).drop_edge_pairs()
                         assert got == display, (facet, a, b, vel, n)
     # derived relators span-match the hard-coded family per orbit
     for n in (3, 4):

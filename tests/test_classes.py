@@ -170,6 +170,52 @@ def test_per_level_sweep_evaluates_every_level(monkeypatch):
     assert calls == {"_level_form": 784, "f_closed": 140}
 
 
+def test_skew_check_catches_a_corrupt_entry_on_either_side(monkeypatch):
+    # the check visits each unordered pair once; a corrupt entry below the
+    # diagonal, or on it, is still reported, with the pair as (min, max)
+    good = classes.f_closed
+    for bad, detail in (((5, 3, 1), "F_5(1,3) + F_5(3,1) != 0"),
+                        ((5, 2, 2), "F_5(2,2) + F_5(2,2) != 0")):
+        def corrupt(k, p, q, bad=bad):
+            out = good(k, p, q)
+            return out + g(0, 0) if (k, p, q) == bad else out
+
+        monkeypatch.setattr(selfcheck, "f_closed", corrupt)
+        with pytest.raises(selfcheck.CheckFailure) as exc:
+            selfcheck.check_skew_symmetry(selfcheck.Params(kmax=6))
+        assert str(exc.value) == "skew symmetry: " + detail
+
+
+def _replace_mid_run(make):
+    # f_levels with the middle level of the first run of >= 3 shared
+    # nonzero levels at k = 6 replaced by make(level); returns
+    # (patched, (k, p, q))
+    k = 6
+    p, q, i = next((p, q, i) for p in range(1, k) for q in range(1, k)
+                   for col in [f_levels(k, p, q)] for i in range(1, k - 2)
+                   if col[i - 1] is col[i] is col[i + 1] and not col[i].is_zero())
+    good = classes.f_levels
+
+    def patched(*args):
+        column = good(*args)
+        if args != (k, p, q):
+            return column
+        return column[:i] + (make(column[i]),) + column[i + 1:]
+    return patched, (k, p, q)
+
+
+def test_per_level_check_catches_a_level_changed_inside_a_run(monkeypatch):
+    patched, (k, p, q) = _replace_mid_run(lambda level: level + g(0, 0))
+    monkeypatch.setattr(selfcheck, "f_levels", patched)
+    with pytest.raises(selfcheck.CheckFailure) as exc:
+        selfcheck.check_per_level_agreement(selfcheck.Params(kmax=6))
+    assert str(exc.value) == "per-level agreement: k=%d p=%d q=%d" % (k, p, q)
+    # a distinct object of equal value splits the run but not the sum
+    patched, _ = _replace_mid_run(lambda level: GClass(dict(level.terms)))
+    monkeypatch.setattr(selfcheck, "f_levels", patched)
+    selfcheck.check_per_level_agreement(selfcheck.Params(kmax=6))
+
+
 def test_twist_matches_scaled_sum():
     rng = random.Random(20210426)
     for k in range(2, 13):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -226,7 +227,6 @@ def test_validation_exit_codes(capsys, tmp_path):
                  hex_reduce + ['{"terms": [{"e1": " 7", "e2": 0, "c": "1"}]}'],
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "\u0663"}]}'],
                  hex_reduce + ["[" * 50000],
-                 hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": %s}]}' % ("1" * 5000)],
                  ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "x.json")],
                  ["lambda", "reduce", "--w0", "1", "--n", "3",
                   "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
@@ -238,6 +238,28 @@ def test_validation_exit_codes(capsys, tmp_path):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_integers_of_any_size_go_in_and_out(capsys):
+    # past Python's default 4300-digit int <-> str limit, as a decimal
+    # string and as a JSON literal; main lifts the limit only while it runs
+    big = "1" + "0" * 4998 + "7"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for c in ('"%s"' % big, "-" + big):
+        poly = '{"terms": [{"e1": 3, "e2": 1, "c": %s}]}' % c
+        code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "3", "--poly", poly,
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        coords = json.loads(out)["normal_form"]["orbits"][0]["coords"]
+        assert [v["value"] for v in coords if v["value"] != "0"] == [c.strip('"')]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # a sum past the limit from inputs within it: 3 * (10^4300 - 1)
+    poly = json.dumps({"terms": [{"e1": 3, "e2": 1, "c": "9" * 4300}] * 3})
+    code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "3", "--poly", poly,
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    coords = json.loads(out)["normal_form"]["orbits"][0]["coords"]
+    assert [v["value"] for v in coords if v["value"] != "0"] == ["2" + "9" * 4299 + "7"]
 
 
 @pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom"), AssertionError("boom")],

@@ -154,6 +154,22 @@ def test_terms_contract(cls, key, other):
     assert cls.sum([]) == cls.zero()
     with pytest.raises(TypeError):
         cls.sum([x, y])
+    # a run of repeated references adds as many copies, streamed once
+    for _ in range(20):
+        x, y = rand(), rand()
+        for xs in ([x, x, x], [x, x, y, x], [y, x, x, x, y, y], [x] * 7 + [x.neg()] * 7):
+            fold = cls.zero()
+            for item in xs:
+                fold = fold + item
+            total = cls.sum(iter(xs))
+            assert total == fold and all(total.terms.values())
+            assert cls.sum(cls(dict(item.terms)) for item in xs) == fold
+        assert cls.sum([x] * 5 + [x.neg()] * 5).terms == {}
+    m = cls({key(2): 3})
+    assert cls.sum(cls({key(2): 3}) for _ in range(1000)) == m.scale(1000)
+    for xs in ([m, m, other()], [m, other(), m], [m, m, other(), m, m], [other()]):
+        with pytest.raises(TypeError):
+            cls.sum(xs)
 
 
 

@@ -119,7 +119,7 @@ def test_facet_t1_0_display():
     # [t1^a w12, t1^b w12] -> [t2^a w23, t2^b w23]
     for n in (3, 4):
         for a, b in ((2, 5), (0, 3), (-1, 4)):
-            img = facet_map("t1=0", pair_bracket(a, b, n), 0, n)
+            img = facet_map("t1=0", pair_bracket(a, b, n))
             want = bracket(deg_n_gen(2, 3, (0, a, 0), n),
                            deg_n_gen(2, 3, (0, b, 0), n), n)
             assert img == want
@@ -128,7 +128,7 @@ def test_facet_t1_0_display():
 def test_facet_t3_1_trivial():
     for n in (3, 4):
         p = pair_bracket(2, 5, n)
-        assert facet_map("t3=1", p, 0, n) == p
+        assert facet_map("t3=1", p) == p
 
 
 def expected_doubling_display(facet, a, b, n):
@@ -152,7 +152,7 @@ def test_doubling_facets_match_displays():
         for a, b in ((1, 0), (3, -2), (0, 0), (2, 2), (-1, -4)):
             p = pair_bracket(a, b, n)
             for facet in ("t1=t2", "t2=t3"):
-                img = facet_map(facet, p, 0, n).drop_edge_pairs()
+                img = facet_map(facet, p).drop_edge_pairs()
                 assert img == expected_doubling_display(facet, a, b, n), (facet, a, b, n)
 
 
@@ -161,16 +161,25 @@ def test_velocity_terms_cancel():
         for a, b in ((1, 0), (2, -3)):
             p = pair_bracket(a, b, n)
             for facet in ("t1=t2", "t2=t3"):
-                base = facet_map(facet, p, 0, n).drop_edge_pairs()
+                base = facet_map(facet, p).drop_edge_pairs()
                 for vel in range(-3, 4):
-                    assert facet_map(facet, p, vel, n).drop_edge_pairs() == base
+                    assert facet_map(facet, p, vel).drop_edge_pairs() == base
 
 
 def test_facet_validation():
     with pytest.raises(ValueError):
-        facet_map("t2=0", pair_bracket(1, 0, 3), 0, 3)
+        facet_map("t2=0", pair_bracket(1, 0, 3))
     with pytest.raises(ValueError):
-        facet_map("t1=0", DegNElem(3, {(1, 3, 0): 1}), 0, 3)
+        facet_map("t1=0", DegNElem(3, {(1, 3, 0): 1}))
+
+
+def test_facet_map_images_live_in_the_input_dimension():
+    # the image's n is always x.n; no call can ask for another dimension
+    for n in (3, 4):
+        assert facet_map("t1=t2", pair_bracket(2, 5, n), 1).n == n
+        assert facet_map("t2=t3", DegNElem(n, {(1, 2, 3): 1})).n == n
+    with pytest.raises(TypeError):
+        facet_map("t1=t2", pair_bracket(2, 5, 3), 0, 4)
 
 
 def test_derived_relator_examples():
@@ -309,6 +318,6 @@ def test_bracket_and_facet_map_build_without_add(monkeypatch):
     for n, x, y, w12, p, facet, a in cases:
         got = bracket(x, y, n)
         assert (got.triple, got.pairs) == _ref_bracket(x, y, n)
-        assert facet_map(facet, w12, a, n).terms == _ref_facet_map(facet, w12, a, n)
-        img = facet_map(facet, p, a, n)
+        assert facet_map(facet, w12, a).terms == _ref_facet_map(facet, w12, a, n)
+        img = facet_map(facet, p, a)
         assert (img.triple, img.pairs) == _ref_facet_map(facet, p, a, n)

@@ -380,31 +380,47 @@ _quote = json.encoder.encode_basestring_ascii
 def _json_text(obj):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, built in
     one direct pass.  It takes dicts with str keys, lists, tuples, str,
-    int, bool and None; anything else, a float included, is a TypeError."""
+    int, bool and None; anything else, a float included, is a TypeError.
+    A plain str or int inside a container is appended to that container's
+    pending text, which is put out before each other child and at the close."""
     out = []
     put = out.append
 
     def emit(o, pad):
-        if isinstance(o, str):
+        # containers first: inside a container a plain str or int never gets here
+        if isinstance(o, dict):
+            inner, sep, text = pad + "  ", "{", ""
+            for key in sorted(o):  # _quote rejects a key that is not a str
+                v = o[key]
+                if type(v) is str:
+                    text += f"{sep}{inner}{_quote(key)}: {_quote(v)}"
+                elif type(v) is int:
+                    text += f"{sep}{inner}{_quote(key)}: {int.__repr__(v)}"
+                else:
+                    put(f"{text}{sep}{inner}{_quote(key)}: ")
+                    text = ""
+                    emit(v, inner)
+                sep = ","
+            put(text + (pad + "}" if o else "{}"))
+        elif isinstance(o, (list, tuple)):
+            inner, sep, text = pad + "  ", "[", ""
+            for v in o:
+                if type(v) is str:
+                    text += f"{sep}{inner}{_quote(v)}"
+                elif type(v) is int:
+                    text += f"{sep}{inner}{int.__repr__(v)}"
+                else:
+                    put(f"{text}{sep}{inner}")
+                    text = ""
+                    emit(v, inner)
+                sep = ","
+            put(text + (pad + "]" if o else "[]"))
+        elif isinstance(o, str):
             put(_quote(o))
         elif o is None or o is True or o is False:
             put("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             put(int.__repr__(o))
-        elif isinstance(o, dict):
-            inner, sep = pad + "  ", "{"
-            for key in sorted(o):  # _quote rejects a key that is not a str
-                put(sep + inner + _quote(key) + ": ")
-                emit(o[key], inner)
-                sep = ","
-            put(pad + "}" if o else "{}")
-        elif isinstance(o, (list, tuple)):
-            inner, sep = pad + "  ", "["
-            for item in o:
-                put(sep + inner)
-                emit(item, inner)
-                sep = ","
-            put(pad + "]" if o else "[]")
         else:
             raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 

@@ -10,13 +10,13 @@ The relator family touches, at (p, q), exactly the four monomials
 generate the dihedral group of the hexagon, whose twelve elements are
 r^i and r^i s.  So orbit_of writes an orbit down in closed form, the six
 r-images of a point and their s-images, with no search, and
-hex_normal_form reduces each orbit block of its input once.  Every
-relator is supported inside a single orbit, so the quotient splits as a
-direct sum over orbits.  A relator is a fixed signed sum of group
-elements applied to (p, q), and orbit_of lists an orbit as fixed group
-words applied to a representative whose stabilizer is fixed by the
-orbit's shape, so each orbit's Smith form depends only on its shape and
-n mod 2.
+hex_normal_form reduces each orbit block of its input once, through the
+sparse Smith rows of the block's shape.  Every relator is supported
+inside a single orbit, so the quotient splits as a direct sum over
+orbits.  A relator is a fixed signed sum of group elements applied to
+(p, q), and orbit_of lists an orbit as fixed group words applied to a
+representative whose stabilizer is fixed by the orbit's shape, so each
+orbit's Smith form depends only on its shape and n mod 2.
 """
 
 from .intlat import IntMatrix, cokernel_structure, smith_normal_form
@@ -64,6 +64,9 @@ def _ring(a, b):
     return [(a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)]
 
 
+_OTYPES = {1: "origin", 6: "six", 12: "twelve"}
+
+
 def orbit_of(a, b):
     """Orbit of (a, b) under the hexagon group, canonically ordered.
 
@@ -76,7 +79,7 @@ def orbit_of(a, b):
     rep = min(_ring(a, b) + _ring(-b, -a))
     ring = _ring(*rep)
     elements = tuple(dict.fromkeys(ring + [(-y, -x) for x, y in ring]))
-    otype = {1: "origin", 6: "six", 12: "twelve"}.get(len(elements))
+    otype = _OTYPES.get(len(elements))
     if otype is None:
         raise AssertionError("orbit of %r has impossible size %d" % ((a, b), len(elements)))
     return HexOrbit(rep, elements, otype)
@@ -141,6 +144,19 @@ def _smith_coordinates(orbit, n):
 _SHAPE_SNF = {(_shape(orbit), n % 2): _smith_coordinates(orbit, n)
               for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
               for n in (3, 4)}
+
+
+def _sparse_rows(v, moduli):
+    """(rows, moduli) over the Smith coordinates whose modulus is not 1:
+    row i lists (coordinate, V[i][j]) for each nonzero entry of element i."""
+    keep = [j for j, m in enumerate(moduli) if m != 1]
+    rows = tuple(tuple((c, v.data[i][j]) for c, j in enumerate(keep) if v.data[i][j])
+                 for i in range(v.rows))
+    return rows, tuple(moduli[j] for j in keep)
+
+
+# (shape, n % 2) -> _SHAPE_SNF's V and moduli as sparse rows; never mutated
+_SHAPE_ROWS = {key: _sparse_rows(*snf) for key, snf in _SHAPE_SNF.items()}
 
 
 class HexElement:
@@ -214,12 +230,16 @@ def hex_normal_form(x):
         if mono in seen:
             continue
         orbit = orbit_of(*mono)
-        seen.update(orbit.elements)
-        v, moduli = _SHAPE_SNF[(_shape(orbit), x.n % 2)]
-        vec = IntMatrix(1, len(orbit.elements), [[terms.get(el, 0) for el in orbit.elements]])
+        rows, moduli = _SHAPE_ROWS[(_shape(orbit), x.n % 2)]
         # coordinates in the Smith basis: (vec . V) entry-wise mod d_i
-        out[orbit.rep] = tuple((y % m if m else y, m)
-                               for y, m in zip(vec.mul(v).data[0], moduli) if m != 1)
+        y = [0] * len(moduli)
+        for el, row in zip(orbit.elements, rows):
+            c = terms.get(el)
+            if c:
+                seen.add(el)
+                for j, a in row:
+                    y[j] += c * a
+        out[orbit.rep] = tuple((v % m if m else v, m) for v, m in zip(y, moduli))
     return HexNormalForm(out)
 
 

@@ -1,9 +1,11 @@
+import collections
+import enum
 import hashlib
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barbell.cli as cli
@@ -278,12 +280,11 @@ def test_internal_fault_exits_3(capsys, monkeypatch, exc):
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):
-    # a V of the wrong shape makes IntMatrix.mul raise a plain ValueError,
-    # which is a fault of the package, not of the input
+    # a product of mismatched matrices makes IntMatrix.mul raise a plain
+    # ValueError, which is a fault of the package, not of the input
     assert issubclass(cli.ValidationError, DomainError)
-    broken = {key: (IntMatrix.identity(1), moduli)
-              for key, (_, moduli) in hexagon._SHAPE_SNF.items()}
-    monkeypatch.setattr(hexagon, "_SHAPE_SNF", broken)
+    monkeypatch.setattr(cli, "hex_normal_form",
+                        lambda x: IntMatrix.identity(2).mul(IntMatrix.identity(1)))
     code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "3", "--poly", HEX,
                                       "--format", "json"])
     assert (code, out) == (3, "")
@@ -306,14 +307,35 @@ _TREES = st.recursive(
     max_leaves=30)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 12
+
+
+_Pair = collections.namedtuple("_Pair", "value modulus")
+
+
 @PROPERTY
 @given(_TREES)
+# subclasses take the isinstance path; bool, None and empty containers sit among plain siblings
+@example(_Pair("7", 0))
+@example({"coords": [_Pair(-3, 2), _Pair("x", None)]})
+@example(collections.OrderedDict([("b", 1), ("a", [2, "c"])]))
+@example([collections.OrderedDict([("z", 0)]), "s"])
+@example(_Level.HIGH)
+@example([_Level.LOW, 3, {"n": _Level.HIGH}])
+@example([1, True, "a", None, False, -2])
+@example({"a": 1, "b": True, "c": None, "d": "x", "e": False})
+@example([1, [], "a", {}, 2, (), None])
+@example({"a": {}, "b": 3, "c": [], "d": "x", "e": ()})
 def test_json_text_equals_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("obj", [0.5, {1, 2}, {1: "a"}, {"a": [1, {2: 3}]}, [float("nan")]],
-                         ids=["float", "set", "int key", "nested int key", "nan"])
+@pytest.mark.parametrize("obj", [0.5, {1, 2}, {1: "a"}, {"a": [1, {2: 3}]}, [float("nan")],
+                                 [1, "a", 0.5, 2]],
+                         ids=["float", "set", "int key", "nested int key", "nan",
+                              "float in a flat list"])
 def test_json_text_rejects_what_is_not_the_contract(obj):
     with pytest.raises(TypeError):
         cli._json_text(obj)

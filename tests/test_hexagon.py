@@ -6,7 +6,7 @@ from barbell.hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                              basis_change_13_to_12, hex_normal_form, k_relator,
                              on_degenerate_line, orbit_of, orbit_relators,
                              orbit_structure)
-from barbell.intlat import IntegerRowSpan, QuotientStructure, smith_normal_form
+from barbell.intlat import IntegerRowSpan, IntMatrix, QuotientStructure, smith_normal_form
 from barbell.laurent import LaurentPoly2
 
 
@@ -172,6 +172,75 @@ def test_shape_table_matches_per_orbit_smith_form():
             diag = d.diagonal() + [0] * len(orbit.elements)
             want = (v, tuple(diag[:len(orbit.elements)]))
             assert hexagon._SHAPE_SNF[(hexagon._shape(orbit), n % 2)] == want, (orbit.rep, n)
+
+
+def test_sparse_rows_match_shape_table():
+    assert len(hexagon._SHAPE_ROWS) == 8
+    assert set(hexagon._SHAPE_ROWS) == set(hexagon._SHAPE_SNF)
+    for key, (v, moduli) in hexagon._SHAPE_SNF.items():
+        rows, kept = hexagon._SHAPE_ROWS[key]
+        keep = [j for j, m in enumerate(moduli) if m != 1]
+        assert kept == tuple(moduli[j] for j in keep), key
+        assert len(rows) == v.rows == v.cols == len(moduli), key
+        for i, row in enumerate(rows):
+            coords = [c for c, _ in row]
+            assert coords == sorted(set(coords)) and all(a for _, a in row), (key, i)
+            dense = [0] * len(keep)
+            for c, a in row:
+                dense[c] = a
+            assert dense == [v.data[i][j] for j in keep], (key, i)
+
+
+def dense_normal_form(x):
+    """Reference: each orbit's coefficient vector times its shape's V as
+    IntMatrix objects, reduced mod the moduli; also counts the negative
+    values met on torsion coordinates."""
+    terms = x.poly.terms
+    out = {}
+    negative_torsion = 0
+    for mono in terms:
+        orbit = orbit_of(*mono)
+        if orbit.rep in out:
+            continue
+        v, moduli = hexagon._SHAPE_SNF[(hexagon._shape(orbit), x.n % 2)]
+        vec = IntMatrix(1, len(orbit.elements), [[terms.get(el, 0) for el in orbit.elements]])
+        ys = vec.mul(v).data[0]
+        negative_torsion += sum(1 for y, m in zip(ys, moduli) if m > 1 and y < 0)
+        out[orbit.rep] = tuple((y % m if m else y, m) for y, m in zip(ys, moduli) if m != 1)
+    nonzero = {rep: coords for rep, coords in out.items() if any(y for y, _ in coords)}
+    return nonzero, negative_torsion
+
+
+def test_normal_form_matches_dense_reference():
+    rng = random.Random(2026)
+    big = 10 ** 30
+
+    def point():
+        a = rng.randrange(-9, 10) or 1
+        return rng.choice([(0, 0), (a, 0), (0, a), (a, a), (a, -a), (a, 2 * a), (2 * a, a),
+                           (rng.randrange(-40, 41), rng.randrange(-40, 41))])
+
+    def coefficient():
+        return rng.choice([rng.randrange(-3, 4), rng.randrange(-big, big)])
+
+    shapes, crowded, negative_torsion = set(), 0, 0
+    for n in range(3, 7):
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randrange(1, 5)):
+                elements = orbit_of(*point()).elements
+                picked = rng.sample(elements, rng.randrange(1, len(elements) + 1))
+                crowded += len(picked) > 1
+                for el in picked:
+                    terms[el] = coefficient()
+            x = HexElement(LaurentPoly2(terms), n)
+            want, negatives = dense_normal_form(x)
+            if n % 2 == 0:
+                negative_torsion += negatives
+            assert hex_normal_form(x).orbits == want, (n, terms)
+            shapes.update(hexagon._shape(orbit_of(*mono)) for mono in x.poly.terms)
+    assert shapes == {"origin", "vertex", "edge", "twelve"}
+    assert crowded and negative_torsion
 
 
 def test_relator_orbit_locality():

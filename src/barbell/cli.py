@@ -243,7 +243,7 @@ def _cmd_selfcheck(args):
     params = selfcheck_mod.Params(kmax=args.kmax)
     lines = []
     ok, results = selfcheck_mod.run(params, report=lines.append)
-    payload = {"passed": ok,
+    payload = {"passed": ok, "kmax": params.kmax,
                "checks": [{"name": n, "passed": p, "detail": d}
                           for n, p, d in results]}
     if not ok:

@@ -19,7 +19,7 @@ representative whose stabilizer is fixed by the orbit's shape, so each
 orbit's Smith form depends only on its shape and n mod 2.
 """
 
-from .intlat import IntMatrix, cokernel_structure, smith_normal_form
+from .intlat import IntMatrix, QuotientStructure, smith_normal_form
 from .laurent import AffineMap2, LaurentPoly2
 
 # r and s as maps: the independent reference the closed-form orbits are checked against
@@ -123,8 +123,9 @@ def orbit_relators(orbit, n):
 
 
 def orbit_structure(orbit, n):
-    """Isomorphism type of the orbit's summand of the quotient."""
-    return cokernel_structure(orbit_relators(orbit, n))
+    """Orbit summand's isomorphism type: a free Z per 0 modulus of its shape."""
+    moduli = _SHAPE_ROWS[(_shape(orbit), n % 2)][1]
+    return QuotientStructure(moduli.count(0), [m for m in moduli if m])
 
 
 def _shape(orbit):

@@ -5,8 +5,8 @@ for the elimination over Q; never a float):
 
 * `pivots`, one forward Gaussian elimination over Q, which gives
   `rank_over_rationals` and `determinant`;
-* the Smith normal form over Z of a dense `IntMatrix`, which certifies
-  cokernel structure;
+* the Smith normal form over Z of a dense `IntMatrix`: it derives the
+  hexagon shape table, and is the oracle for the closed-form structures;
 * an incremental echelon basis of an integer row span, for membership.
 
 `pivots` and the row span take rows as {column: int} dicts or dense

@@ -16,7 +16,7 @@ For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
 from . import DomainError
-from .intlat import IntMatrix, cokernel_structure
+from .intlat import IntMatrix, QuotientStructure
 from .laurent import LaurentPoly1, Terms
 
 
@@ -124,8 +124,8 @@ def relator_matrix(ctx, lo, hi):
     """All defining relations supported on the exponent window [lo, hi].
 
     Returns (matrix, exponents); matrix rows are relator coefficient
-    vectors over the monomial basis t^lo .. t^hi.  Used as the
-    brute-force oracle against which lambda_reduce is checked.
+    vectors over the monomial basis t^lo .. t^hi.  The brute-force oracle
+    that lambda_reduce and lambda_structure are checked against.
     """
     if lo > hi:
         raise DomainError("empty window")
@@ -151,13 +151,19 @@ def relator_matrix(ctx, lo, hi):
 
 
 def lambda_structure(ctx, window):
-    """Brute-force structure of the window-restricted quotient group."""
+    """Structure of the window-restricted quotient group, in one pass: the
+    window spans its quotient inside the full one, each t^k reduces to 0,
+    +-t^m or the torsion bit, and distinct cells of k <-> W0-1-k reach distinct m."""
     lo, hi = window
     need = abs(ctx.w0) + 2
     if lo > -need or hi < need:
         raise DomainError("window too small: need at least [-%d, %d]" % (need, need))
-    m, _ = relator_matrix(ctx, lo, hi)
-    return cokernel_structure(m)
+    free, bit = set(), 0
+    for k in range(lo, hi + 1):
+        nf = lambda_reduce(LaurentPoly1.monomial(k), ctx)
+        free.update(nf.free_part.terms)
+        bit |= nf.torsion_bit
+    return QuotientStructure(len(free), (2,) * bit)
 
 
 def w2_theta(k, ctx):

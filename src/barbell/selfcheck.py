@@ -12,9 +12,10 @@ from . import DomainError, classes, hexagon, whitehead
 from .classes import GClass, d, delta, e, f_closed, f_levels, g, gstar, w3
 from .hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                       hex_normal_form, orbit_of, orbit_relators, orbit_structure)
-from .intlat import IntMatrix, IntegerRowSpan, determinant, rank_over_rationals, smith_normal_form
+from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, determinant,
+                     rank_over_rationals, smith_normal_form)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_pullback,
-                           lambda_reduce, relator_matrix, w2_theta)
+                           lambda_reduce, lambda_structure, relator_matrix, w2_theta)
 from .laurent import AffineMap2, LaurentPoly1, LaurentPoly2
 from .whitehead import DegNElem, bracket, deg_n_gen, facet_map, pair_bracket
 
@@ -89,7 +90,6 @@ def check_snf_certificate(params):
 
 
 def check_cokernel_invariance(params):
-    from .intlat import cokernel_structure
     rng = random.Random(SEED + 2)
     for _ in range(20):
         rows = rng.randrange(2, 6)
@@ -115,6 +115,8 @@ def check_lambda_oracle(params):
         for n in (3, 4, 5, 6):
             ctx = LambdaContext(w0, n)
             m, exps = relator_matrix(ctx, -20, 20)
+            if lambda_structure(ctx, (-20, 20)) != cokernel_structure(m):
+                _fail("lambda oracle equivalence", "structure at W0=%d n=%d" % (w0, n))
             span = IntegerRowSpan()
             for row in m.data:
                 span.add(row)
@@ -331,6 +333,8 @@ def check_torsion_factors(params):
         for a in range(-5, 6):
             for b in range(-5, 6):
                 st = orbit_structure(orbit_of(a, b), n)
+                if st != cokernel_structure(orbit_relators(orbit_of(a, b), n)):
+                    _fail("torsion factors", "table != SNF at (%d,%d) n=%d" % (a, b, n))
                 if any(t != 2 for t in st.torsion):
                     _fail("torsion factors", "invariant factor %r at orbit of (%d,%d)"
                           % (st.torsion, a, b))

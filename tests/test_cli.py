@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 import barbell.cli as cli
 import barbell.hexagon as hexagon
+import barbell.intlat as intlat
 from barbell import DomainError
 from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
+from barbell.hexagon import orbit_of, orbit_structure
 from barbell.intlat import IntMatrix
+from barbell.lambda_group import LambdaContext, lambda_structure
 from barbell.laurent import LaurentPoly1, LaurentPoly2
 from test_golden import FK, GOLDEN, HEX
 
@@ -386,6 +389,26 @@ def test_selfcheck_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "ok   relator orbit-locality" in out
+
+
+def test_group_structures_run_no_smith_form(capsys, monkeypatch):
+    # both structure commands answer from closed forms; the Smith form is
+    # only the oracle, so a broken one must not reach them
+    def broken(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(intlat, "smith_normal_form", broken)
+    monkeypatch.setattr(hexagon, "smith_normal_form", broken)
+    got = lambda_structure(LambdaContext(3, 4), (-300, 300))
+    assert (got.free_rank, got.torsion) == (299, (2,))
+    for n in (3, 4):
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                orbit_structure(orbit_of(a, b), n)
+    for argv in (["lambda", "structure", "--w0", "5", "--n", "4", "--window=-20,20"],
+                 ["orbit", "structure", "--alpha", "1", "--beta", "2", "--n", "4"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and "structure" in out, argv
 
 
 def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):

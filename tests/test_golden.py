@@ -91,7 +91,7 @@ GOLDEN = [
     (["twist", "--k", "5", "--v=0,-1,0,1", "--w", "0,0,1,0", "--format", "json"],
      "a35158970b5e21363fbe8c70e3e9ea6adc64c8a33380bd88cd31e9d85e6f86de"),
     (["selfcheck", "--kmax", "6", "--format", "json"],
-     "72649f6ae1335f05a5f1bc646d7b5bd96d22560ec631bca086eaa597014294bd"),
+     "2ff0b5402263627a250ce59b701094ba2f4dc5498b9f49a39092ebd3c6adef54"),
     # sparse independence JSON beyond kmax 40; a twist sum that skips zero weights
     (["independence", "--kmin", "4", "--kmax", "600", "--n", "4", "--format", "json"],
      "256c648305f9f65273b3bf9a50f5c1bdd3bab3b59272227cb6d9612b3b278e00"),

@@ -6,7 +6,8 @@ from barbell.hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                              basis_change_13_to_12, hex_normal_form, k_relator,
                              on_degenerate_line, orbit_of, orbit_relators,
                              orbit_structure)
-from barbell.intlat import IntegerRowSpan, IntMatrix, QuotientStructure, smith_normal_form
+from barbell.intlat import (IntegerRowSpan, IntMatrix, QuotientStructure, cokernel_structure,
+                            smith_normal_form)
 from barbell.laurent import LaurentPoly2
 
 
@@ -172,6 +173,8 @@ def test_shape_table_matches_per_orbit_smith_form():
             diag = d.diagonal() + [0] * len(orbit.elements)
             want = (v, tuple(diag[:len(orbit.elements)]))
             assert hexagon._SHAPE_SNF[(hexagon._shape(orbit), n % 2)] == want, (orbit.rep, n)
+            want = cokernel_structure(orbit_relators(orbit, n))
+            assert orbit_structure(orbit, n) == want, (orbit.rep, n)
 
 
 def test_sparse_rows_match_shape_table():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from barbell.intlat import IntegerRowSpan
+from barbell.intlat import IntegerRowSpan, cokernel_structure
 from barbell.lambda_group import (AlphaCombination, LambdaContext,
                                   cover_kernel_iterate, cover_pullback,
                                   lambda_reduce, lambda_structure,
@@ -37,6 +37,20 @@ def test_structure_examples():
     assert st.torsion == (2,)
     assert lambda_structure(LambdaContext(4, 3), (-20, 20)).torsion == ()
     assert lambda_structure(LambdaContext(0, 3), (-20, 20)).torsion == ()
+
+
+def test_structure_matches_smith_form_oracle():
+    # the closed form against the Smith form of the window's relator matrix,
+    # on the minimal window, lopsided ones and a wide one
+    for w0 in range(-9, 10):
+        need = abs(w0) + 2
+        windows = [(-need, need), (-need - 3, need), (-need, need + 4),
+                   (-need - 7, need + 2), (-20, 20)]
+        for n in range(3, 7):
+            ctx = LambdaContext(w0, n)
+            for lo, hi in windows:
+                want = cokernel_structure(relator_matrix(ctx, lo, hi)[0])
+                assert lambda_structure(ctx, (lo, hi)) == want, (w0, n, lo, hi)
 
 
 def test_structure_window_validation():

@@ -11,3 +11,8 @@ class DomainError(ValueError):
     """An argument outside the mathematical domain, such as n < 3 or
     k < 2.  The CLI reports it with exit 2; any other ValueError is an
     internal fault and exits 3."""
+
+
+def check_sphere_dimension(n):
+    if n < 3:
+        raise DomainError("sphere dimension n must be >= 3")

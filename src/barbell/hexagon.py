@@ -19,6 +19,7 @@ representative whose stabilizer is fixed by the orbit's shape, so each
 orbit's Smith form depends only on its shape and n mod 2.
 """
 
+from . import check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure, smith_normal_form
 from .laurent import AffineMap2, LaurentPoly2
 
@@ -92,6 +93,7 @@ def k_relator(p, q, n):
     for n odd this is the familiar form
     t1^p t2^q + t1^p t2^(p-q) - t1^q t2^p - t1^q t2^(q-p).
     """
+    check_sphere_dimension(n)
     s = 1 if n % 2 else -1
     return LaurentPoly2([((p, q), 1), ((q, q - p), -1),
                          ((p, p - q), s), ((q, p), -s)])
@@ -124,6 +126,7 @@ def orbit_relators(orbit, n):
 
 def orbit_structure(orbit, n):
     """Orbit summand's isomorphism type: a free Z per 0 modulus of its shape."""
+    check_sphere_dimension(n)
     moduli = _SHAPE_ROWS[(_shape(orbit), n % 2)][1]
     return QuotientStructure(moduli.count(0), [m for m in moduli if m])
 
@@ -166,6 +169,7 @@ class HexElement:
     __slots__ = ("poly", "n")
 
     def __init__(self, poly, n):
+        check_sphere_dimension(n)
         self.poly = poly
         self.n = n
 

@@ -6,7 +6,9 @@ for the elimination over Q; never a float):
 * `pivots`, one forward Gaussian elimination over Q, which gives
   `rank_over_rationals` and `determinant`;
 * the Smith normal form over Z of a dense `IntMatrix`: it derives the
-  hexagon shape table, and is the oracle for the closed-form structures;
+  hexagon shape table, and is the oracle for the closed-form structures.
+  Its row and column phases share one 2x2 row step: v is kept transposed,
+  so a column operation is a row operation on the columns in play;
 * an incremental echelon basis of an integer row span, for membership.
 
 `pivots` and the row span take rows as {column: int} dicts or dense
@@ -14,21 +16,6 @@ lists, and keep them sparse.
 """
 
 from math import prod
-
-
-def xgcd(a, b):
-    # returns (g, x, y) with x*a + y*b == g, g >= 0 when (a, b) != (0, 0)
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 class IntMatrix:
@@ -140,54 +127,41 @@ def _pivot_search(a, t, rows, cols):
     return best
 
 
-def _row_combine(a, u, t, i, cols_a, cols_u, col):
-    # one unimodular 2x2 transform on rows (t, i) that puts
-    # gcd(a[t][col], a[i][col]) at (t, col) and zero at (i, col)
-    p, q = a[t][col], a[i][col]
-    if q % p == 0:
-        f = q // p
-        if f:
-            at, ai = a[t], a[i]
-            for j in range(col, cols_a):
-                ai[j] -= f * at[j]
-            ut, ui = u[t], u[i]
-            for j in range(cols_u):
-                ui[j] -= f * ut[j]
-        return
-    g, x, y = xgcd(p, q)
-    pg, qg = p // g, q // g
-    at, ai = a[t], a[i]
-    for j in range(col, cols_a):
-        s_, v_ = at[j], ai[j]
-        at[j] = x * s_ + y * v_
-        ai[j] = -qg * s_ + pg * v_
-    ut, ui = u[t], u[i]
-    for j in range(cols_u):
-        s_, v_ = ut[j], ui[j]
-        ut[j] = x * s_ + y * v_
-        ui[j] = -qg * s_ + pg * v_
+def _gcd_step(p, q):
+    # rows (x, y), (z, w) of a unimodular 2x2 matrix taking (p, q) to (g, 0),
+    # g = gcd(p, q) > 0; extended Euclid finds x*p + y*q == g
+    x, y, g, nx, ny, ng = 1, 0, p, 0, 1, q
+    while ng:
+        k = g // ng
+        x, y, g, nx, ny, ng = nx, ny, ng, x - k * nx, y - k * ny, g - k * ng
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return x, y, -(q // g), p // g
 
 
-def _col_combine(a, v, t, j, rows_a, rows_v, row):
-    p, q = a[row][t], a[row][j]
+def _combine(a, u, t, i):
+    # one 2x2 transform on rows (t, i) of a and of u: gcd(a[t][t], a[i][t])
+    # lands at (t, t) and zero at (i, t); both rows of a are zero left of t.
+    # When p | q row t must stay: the extended-gcd (x, y) can differ from (1, 0)
+    p, q = a[t][t], a[i][t]
+    pairs = ((a[t], a[i], t), (u[t], u[i], 0))
     if q % p == 0:
         f = q // p
-        if f:
-            for i in range(rows_a):
-                a[i][j] -= f * a[i][t]
-            for i in range(rows_v):
-                v[i][j] -= f * v[i][t]
+        for r, s, start in pairs:
+            for j in range(start, len(r)):
+                s[j] -= f * r[j]
         return
-    g, x, y = xgcd(p, q)
-    pg, qg = p // g, q // g
-    for i in range(rows_a):
-        s_, w_ = a[i][t], a[i][j]
-        a[i][t] = x * s_ + y * w_
-        a[i][j] = -qg * s_ + pg * w_
-    for i in range(rows_v):
-        s_, w_ = v[i][t], v[i][j]
-        v[i][t] = x * s_ + y * w_
-        v[i][j] = -qg * s_ + pg * w_
+    x, y, z, w = _gcd_step(p, q)
+    for r, s, start in pairs:
+        for j in range(start, len(r)):
+            r[j], s[j] = x * r[j] + y * s[j], z * r[j] + w * s[j]
+
+
+def _clear(a, u, t, lines):
+    # zero column t of each of a's `lines` into row t
+    for i in lines:
+        if a[i][t]:
+            _combine(a, u, t, i)
 
 
 def smith_normal_form(m):
@@ -203,9 +177,8 @@ def smith_normal_form(m):
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m.data]
     u = IntMatrix.identity(rows).data
-    v = IntMatrix.identity(cols).data
-    t = 0
-    while t < rows and t < cols:
+    vt = IntMatrix.identity(cols).data
+    for t in range(min(rows, cols)):
         piv = _pivot_search(a, t, rows, cols)
         if piv is None:
             break
@@ -216,15 +189,17 @@ def smith_normal_form(m):
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         while True:
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    _row_combine(a, u, t, i, cols, rows, t)
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    _col_combine(a, v, t, j, rows, cols, t)
+            _clear(a, u, t, range(t + 1, rows))
+            # each column operation touches only column t and its partner,
+            # so the partners are fixed before the sweep; rows above t are zero
+            js = [j for j in range(t + 1, cols) if a[t][j]]
+            lines = {j: [row[j] for row in a] for j in [t] + js}
+            _clear(lines, vt, t, js)
+            for j, line in lines.items():
+                for i in range(t, rows):
+                    a[i][j] = line[i]
             # a column combine may resurrect entries below the pivot
             if any(a[i][t] for i in range(t + 1, rows)):
                 continue
@@ -253,9 +228,8 @@ def smith_normal_form(m):
                 a[t][j] = -a[t][j]
             for j in range(rows):
                 u[t][j] = -u[t][j]
-        t += 1
     return (IntMatrix(rows, cols, a), IntMatrix(rows, rows, u),
-            IntMatrix(cols, cols, v))
+            IntMatrix(cols, cols, list(zip(*vt))))
 
 
 def _nonzero(row):
@@ -339,8 +313,10 @@ class IntegerRowSpan:
 
     __slots__ = ("rows",)
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows = {}  # pivot column -> sparse row
+        for row in rows:
+            self.add(row)
 
     def add(self, vec):
         v = dict(_nonzero(vec))
@@ -356,13 +332,12 @@ class IntegerRowSpan:
             if b % a == 0:
                 _subtract(v, b // a, row)
             else:
-                # one unimodular 2x2 transform on (row, v): gcd at the pivot
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
+                # the Smith form's 2x2 transform on (row, v): gcd at the pivot
+                x, y, z, w = _gcd_step(a, b)
                 new_row, new_v = {}, {}
                 for k in set(row) | set(v):
-                    r, w = row.get(k, 0), v.get(k, 0)
-                    c, d = x * r + y * w, ag * w - bg * r
+                    r, s = row.get(k, 0), v.get(k, 0)
+                    c, d = x * r + y * s, z * r + w * s
                     if c:
                         new_row[k] = c
                     if d:

@@ -15,7 +15,7 @@ integer exponent that was not killed, that monomial carries a single
 For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
-from . import DomainError
+from . import DomainError, check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure
 from .laurent import LaurentPoly1, Terms
 
@@ -26,8 +26,7 @@ class LambdaContext:
     __slots__ = ("w0", "n")
 
     def __init__(self, w0, n):
-        if n < 3:
-            raise DomainError("sphere dimension n must be >= 3")
+        check_sphere_dimension(n)
         self.w0 = w0
         self.n = n
 

@@ -117,9 +117,7 @@ def check_lambda_oracle(params):
             m, exps = relator_matrix(ctx, -20, 20)
             if lambda_structure(ctx, (-20, 20)) != cokernel_structure(m):
                 _fail("lambda oracle equivalence", "structure at W0=%d n=%d" % (w0, n))
-            span = IntegerRowSpan()
-            for row in m.data:
-                span.add(row)
+            span = IntegerRowSpan(m.data)
             idx = {k: i for i, k in enumerate(exps)}
             for _ in range(SAMPLES):
                 p = _rand_poly1(rng)
@@ -148,11 +146,7 @@ def check_theta_span(params):
     for w0 in range(-4, 5):
         for n in (3, 4):
             ctx = LambdaContext(w0, n)
-            span = IntegerRowSpan()
-            for k in range(-15, 16):
-                vec = dict(w2_theta(k, ctx).free_part.terms)
-                if vec:
-                    span.add(vec)
+            span = IntegerRowSpan(w2_theta(k, ctx).free_part.terms for k in range(-15, 16))
             fold = -(-(w0 - 1) // 2)  # ceil((w0-1)/2)
             fixed = (w0 - 1) // 2 if (w0 - 1) % 2 == 0 else None
             for j in range(fold, 13):
@@ -236,15 +230,8 @@ def check_relator_family_equivalence(params):
         for rep in derived:
             orbit = orbit_of(*rep)
             idx = orbit.index()
-            spans = []
-            for fam in (derived[rep], hard[rep]):
-                span = IntegerRowSpan()
-                for poly in fam:
-                    vec = [0] * len(orbit.elements)
-                    for mono, c in poly.terms.items():
-                        vec[idx[mono]] += c
-                    span.add(vec)
-                spans.append(span)
+            spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
+                                    for poly in fam) for fam in (derived[rep], hard[rep])]
             if not spans[0].equals(spans[1]):
                 _fail("relator family equivalence",
                       "spans differ on orbit %r at n=%d" % (rep, n))
@@ -314,9 +301,7 @@ def check_normal_form_soundness(params):
             for rep, monos in by_orbit.items():
                 orbit = orbit_of(*rep)
                 idx = orbit.index()
-                span = IntegerRowSpan()
-                for row in orbit_relators(orbit, n).data:
-                    span.add(row)
+                span = IntegerRowSpan(orbit_relators(orbit, n).data)
                 vec = [0] * len(orbit.elements)
                 for mono, c in monos.items():
                     vec[idx[mono]] += c

@@ -21,7 +21,7 @@ on index-disjoint products.  The canonical degree-(2n-1) basis is
 
 from itertools import chain
 
-from . import DomainError
+from . import DomainError, check_sphere_dimension
 from .laurent import LaurentPoly2, combine
 
 _FACETS = ("t1=0", "t1=t2", "t2=t3", "t3=1")
@@ -51,6 +51,7 @@ class DegNElem:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
+        check_sphere_dimension(n)
         self.n = n
         self.terms = combine(terms)
 
@@ -110,6 +111,7 @@ class BracketElem:
     __slots__ = ("n", "triple", "pairs")
 
     def __init__(self, n, triple=None, pairs=None):
+        check_sphere_dimension(n)
         self.n = n
         self.triple = combine(triple)
         self.pairs = combine(pairs)

@@ -96,9 +96,7 @@ def test_criterion_08_lambda_oracle():
         for n in (3, 4, 5, 6):
             ctx = LambdaContext(w0, n)
             m, exps = relator_matrix(ctx, -20, 20)
-            span = IntegerRowSpan()
-            for row in m.data:
-                span.add(row)
+            span = IntegerRowSpan(m.data)
             idx = {k: i for i, k in enumerate(exps)}
             for _ in range(500):
                 p = LaurentPoly1({rng.randrange(-10, 11): rng.randrange(-9, 10)
@@ -180,15 +178,8 @@ def test_criterion_11_facet_computations():
         for rep, polys in derived.items():
             orbit = orbit_of(*rep)
             idx = orbit.index()
-            spans = []
-            for fam in (polys, hard[rep]):
-                span = IntegerRowSpan()
-                for poly in fam:
-                    vec = [0] * len(orbit.elements)
-                    for mono, c in poly.terms.items():
-                        vec[idx[mono]] += c
-                    span.add(vec)
-                spans.append(span)
+            spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
+                                    for poly in fam) for fam in (polys, hard[rep])]
             assert spans[0].equals(spans[1]), (n, rep)
     _report(11, "facet displays with velocity terms cancelling and "
                 "derived-vs-hardcoded relator spans on [-8,8]^2, exact", t0)

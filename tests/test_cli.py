@@ -18,6 +18,7 @@ from barbell.hexagon import orbit_of, orbit_structure
 from barbell.intlat import IntMatrix
 from barbell.lambda_group import LambdaContext, lambda_structure
 from barbell.laurent import LaurentPoly1, LaurentPoly2
+from barbell.whitehead import derive_R_relators, pair_bracket
 from test_golden import FK, GOLDEN, HEX
 
 
@@ -280,6 +281,19 @@ def test_internal_fault_exits_3(capsys, monkeypatch, exc):
     assert code == 3
     assert out == ""
     assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_library_rejects_sphere_dimension_below_3():
+    # the CLI exits 2 on --n < 3 before any of these run; the library
+    # entry points refuse the same n themselves
+    calls = (lambda: orbit_structure(orbit_of(1, 0), 1),
+             lambda: hexagon.hex_normal_form(hexagon.HexElement(LaurentPoly2.monomial(0, 0), 2)),
+             lambda: pair_bracket(1, 2, 2),
+             lambda: derive_R_relators(1, (-1, 1)),
+             lambda: independence_rank([delta(4)], 1))
+    for call in calls:
+        with pytest.raises(DomainError, match="sphere dimension n must be >= 3"):
+            call()
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):

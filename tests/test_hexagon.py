@@ -285,9 +285,7 @@ def relator_span_member(diff, n, orbit_fn):
         orbit = orbit_fn(*mono)
         by_orbit.setdefault(orbit.rep, (orbit, {}))[1][mono] = c
     for orbit, monos in by_orbit.values():
-        span = IntegerRowSpan()
-        for row in orbit_relators(orbit, n).data:
-            span.add(row)
+        span = IntegerRowSpan(orbit_relators(orbit, n).data)
         if not span.contains([monos.get(el, 0) for el in orbit.elements]):
             return False
     return True

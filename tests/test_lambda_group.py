@@ -99,13 +99,7 @@ def test_gamma_spans_intermediate_monomials():
             return v
 
         def make_span(elems):
-            span = IntegerRowSpan()
-            span.add({bit_col: 2})
-            for el in elems:
-                v = vec(el)
-                if v:
-                    span.add(v)
-            return span
+            return IntegerRowSpan([{bit_col: 2}] + [vec(el) for el in elems])
 
         gammas = [w2_gamma(k, ctx) for k in range(0, w0)]
         monos = [lambda_reduce(LaurentPoly1({k: 1}), ctx) for k in range(1, w0 - 1)]
@@ -118,11 +112,7 @@ def test_theta_images_span_free_part():
     for w0 in range(-4, 5):
         for n in (3, 4):
             ctx = LambdaContext(w0, n)
-            span = IntegerRowSpan()
-            for k in range(-15, 16):
-                v = dict(w2_theta(k, ctx).free_part.terms)
-                if v:
-                    span.add(v)
+            span = IntegerRowSpan(w2_theta(k, ctx).free_part.terms for k in range(-15, 16))
             fold = -(-(w0 - 1) // 2)
             fixed = (w0 - 1) // 2 if (w0 - 1) % 2 == 0 else None
             for j in range(fold, 13):
@@ -137,9 +127,7 @@ def test_oracle_equivalence_sample():
         for n in (3, 4):
             ctx = LambdaContext(w0, n)
             m, exps = relator_matrix(ctx, -20, 20)
-            span = IntegerRowSpan()
-            for row in m.data:
-                span.add(row)
+            span = IntegerRowSpan(m.data)
             idx = {k: i for i, k in enumerate(exps)}
             for _ in range(100):
                 p = LaurentPoly1({rng.randrange(-10, 11): rng.randrange(-8, 9)

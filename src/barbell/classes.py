@@ -17,7 +17,7 @@ Each class is built once, from a flat list of (key, coeff) pairs.
 
 from . import DomainError
 from .hexagon import HexElement, hex_normal_form
-from .intlat import pivots
+from .intlat import IntegerRowSpan
 from .laurent import LaurentPoly2, Terms
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
@@ -169,18 +169,19 @@ def w3(x, n):
 
 
 def independence_rank(classes, n):
-    """Exact rational rank of the stacked W3 normal forms.
+    """Exact rank of the stacked W3 normal forms.
 
     Returns (rank, cols, rows).  Row i is the free-part coordinates of
     class i's normal form as a sparse {column: value} dict; the `cols`
     columns index the sorted union of touched (orbit rep, position)
     keys.  Each class touches only its own orbit blocks, so no dense
-    matrix is built.  Full rank certifies linear independence in the
-    quotient group.
+    matrix is built.  The rank is the number of rows in the integer
+    echelon basis of `rows`, which equals their rank over Q; full rank
+    certifies linear independence in the quotient group.
     """
     if not classes:
         raise DomainError("need at least one class")
     frees = [hex_normal_form(w3(x, n)).free_coordinates() for x in classes]
     col_index = {c: i for i, c in enumerate(sorted(set().union(*frees)))}
     rows = [{col_index[key]: val for key, val in f.items()} for f in frees]
-    return len(pivots(rows)), len(col_index), rows
+    return len(IntegerRowSpan(rows).rows), len(col_index), rows

@@ -1,21 +1,19 @@
-"""Exact integer-lattice normal forms: rank, determinant, Smith form, row spans.
+"""Exact integer-lattice normal forms: Smith form, row spans, rank.
 
-Three algorithms, each exact (Python integers, or `fractions.Fraction`
-for the elimination over Q; never a float):
+Two algorithms, each exact in Python integers (never a float):
 
-* `pivots`, one forward Gaussian elimination over Q, which gives
-  `rank_over_rationals` and `determinant`;
 * the Smith normal form over Z of a dense `IntMatrix`: it derives the
   hexagon shape table, and is the oracle for the closed-form structures.
   Its row and column phases share one 2x2 row step: v is kept transposed,
   so a column operation is a row operation on the columns in play;
-* an incremental echelon basis of an integer row span, for membership.
+* an incremental echelon basis of an integer row span, for membership,
+  span equality (so unimodularity: a square matrix whose rows span Z^n)
+  and `rank_over_rationals`: an echelon basis over Z has as many rows as
+  the rank over Q.
 
-`pivots` and the row span take rows as {column: int} dicts or dense
-lists, and keep them sparse.
+The row span takes rows as {column: int} dicts or dense lists, and keeps
+them sparse.
 """
-
-from math import prod
 
 
 class IntMatrix:
@@ -248,51 +246,6 @@ def _subtract(v, q, row):
             v.pop(k, None)
 
 
-def pivots(rows):
-    """Forward Gaussian elimination over Q of an iterable of rows, row by row.
-
-    Each row, as a sparse {column: Fraction} dict, is reduced least column
-    first by the earlier pivot rows whose pivot columns it touches; a
-    nonzero remainder pivots at its least column and is stored scaled to
-    1 there.  Returns (column, pivot value) per pivot, in row order, so
-    the rank is its length.  Entries stay ratios of minors (Edmonds), and
-    rows sharing no column with a pivot row are never touched, so blocks
-    cost only blocks.
-    """
-    from fractions import Fraction  # here: it imports decimal, ~4 ms of start-up
-    basis = {}  # pivot column -> its row, scaled to 1 at the pivot
-    out = []
-    for data in rows:
-        row = {j: Fraction(c) for j, c in _nonzero(data)}
-        while row:
-            j = min(row)
-            piv = basis.get(j)
-            if piv is None:
-                value = row[j]
-                basis[j] = {k: c / value for k, c in row.items()}
-                out.append((j, value))
-                break
-            _subtract(row, row[j], piv)
-    return out
-
-
-def rank_over_rationals(m):
-    """Rank of the IntMatrix m over Q: the number of pivots of its rows."""
-    return len(pivots(m.data))
-
-
-def determinant(m):
-    """Sign of the pivot-column permutation times the pivot product; 0 if singular."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    found = pivots(m.data)
-    if len(found) < m.rows:
-        return 0
-    cols = [j for j, _ in found]
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return (-1) ** inversions * int(prod(v for _, v in found))
-
-
 def cokernel_structure(relations):
     """Structure of Z^cols / (integer row span of `relations`)."""
     d, _, _ = smith_normal_form(relations)
@@ -361,3 +314,7 @@ class IntegerRowSpan:
     def equals(self, other):
         return self.covers(other) and other.covers(self)
 
+
+def rank_over_rationals(m):
+    """Rank of the IntMatrix m over Q: the number of echelon rows of its Z-span."""
+    return len(IntegerRowSpan(m.data).rows)

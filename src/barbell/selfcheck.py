@@ -12,8 +12,8 @@ from . import DomainError, classes, hexagon, whitehead
 from .classes import GClass, d, delta, e, f_closed, f_levels, g, gstar, w3
 from .hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                       hex_normal_form, orbit_of, orbit_relators, orbit_structure)
-from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, determinant,
-                     rank_over_rationals, smith_normal_form)
+from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, rank_over_rationals,
+                     smith_normal_form)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_pullback,
                            lambda_reduce, lambda_structure, relator_matrix, w2_theta)
 from .laurent import AffineMap2, LaurentPoly1, LaurentPoly2
@@ -79,8 +79,10 @@ def check_snf_certificate(params):
         dd, u, v = smith_normal_form(m)
         if u.mul(m).mul(v) != dd:
             _fail("snf certificate", "U*M*V != D")
-        if determinant(u) not in (1, -1) or determinant(v) not in (1, -1):
-            _fail("snf certificate", "transform not unimodular")
+        # a square matrix is unimodular iff its rows span Z^n
+        for x in (u, v):
+            if not IntegerRowSpan(x.data).equals(IntegerRowSpan(IntMatrix.identity(x.rows).data)):
+                _fail("snf certificate", "transform not unimodular")
         diag = [x for x in dd.diagonal() if x]
         for a, b in zip(diag, diag[1:]):
             if b % a:

@@ -54,6 +54,21 @@ def test_fk_check_skew_report(capsys):
     assert "skew: OK" in out
 
 
+@pytest.mark.parametrize("bad", [(1, 3), (3, 1)], ids=["p<q", "p>q"])
+def test_fk_check_skew_reports_a_corrupt_entry_on_either_side(capsys, monkeypatch, bad):
+    # the report visits each unordered pair once, so both sides must be read
+    good = cli.f_closed
+
+    def corrupt(k, p, q):
+        out = good(k, p, q)
+        return out + GClass({(0, 0): 1}) if (p, q) == bad else out
+
+    monkeypatch.setattr(cli, "f_closed", corrupt)
+    code, out, _ = run_cli(capsys, ["fk", "--k", "5", "--check-skew", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["skew"] == "FAIL"
+
+
 def test_fk_csv_matrix(capsys):
     code, out, _ = run_cli(capsys, ["fk", "--k", "4", "--format", "csv"])
     assert code == 0

@@ -1,12 +1,19 @@
+import collections
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
+import barbell
+from barbell import selfcheck
 from barbell.hexagon import orbit_of, orbit_relators
 from barbell.intlat import (IntMatrix, IntegerRowSpan, QuotientStructure,
-                            cokernel_structure, determinant, pivots,
-                            rank_over_rationals, smith_normal_form)
+                            cokernel_structure, rank_over_rationals, smith_normal_form)
 from barbell.lambda_group import LambdaContext, relator_matrix
 
 
@@ -25,6 +32,11 @@ def fraction_rank(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def spans_whole_lattice(x):
+    # the selfcheck's unimodularity criterion: the rows of the square x span Z^n
+    return IntegerRowSpan(x.data).equals(IntegerRowSpan(IntMatrix.identity(x.rows).data))
 
 
 def rand_matrix(rng, max_dim=6, max_entry=9):
@@ -55,8 +67,8 @@ def test_snf_certificate_random():
         m = rand_matrix(rng)
         d, u, v = smith_normal_form(m)
         assert u.mul(m).mul(v) == d
-        assert determinant(u) in (1, -1)
-        assert determinant(v) in (1, -1)
+        assert spans_whole_lattice(u)
+        assert spans_whole_lattice(v)
         diag = [x for x in d.diagonal() if x]
         assert all(x > 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -74,8 +86,8 @@ def test_snf_certificate_large_entries():
                            for _ in range(10)])
     d, u, v = smith_normal_form(m)
     assert u.mul(m).mul(v) == d
-    assert determinant(u) in (1, -1)
-    assert determinant(v) in (1, -1)
+    assert spans_whole_lattice(u)
+    assert spans_whole_lattice(v)
     diag = [x for x in d.diagonal() if x]
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -147,8 +159,8 @@ def block_matrix(rng, shapes, shared=0):
 
 
 def sparse_rank(m):
-    # the same matrix as {column: value} rows, ranked by the row-wise entry point
-    return len(pivots({j: x for j, x in enumerate(row) if x} for row in m.data))
+    # the same matrix as {column: value} rows, ranked by their integer echelon
+    return len(IntegerRowSpan({j: x for j, x in enumerate(row) if x} for row in m.data).rows)
 
 
 def test_rank_against_fraction_elimination():
@@ -189,21 +201,57 @@ def permutation_determinant(m):
     return total
 
 
-def test_determinant_against_permutation_expansion():
-    import pytest
+def test_unimodular_criterion_against_permutation_expansion():
+    # rows spanning Z^n agrees with the Leibniz determinant being +-1 on
+    # random square matrices, on Smith transforms and on singular matrices
     rng = random.Random(53)
-    assert determinant(IntMatrix(0, 0)) == 1
-    for n in range(7):
-        for _ in range(12 if n < 6 else 3):
-            m = sparse_matrix(rng, n, n, rng.choice((0.3, 0.7, 1.0)))
-            assert determinant(m) == permutation_determinant(m)
-            assert isinstance(determinant(m), int)
+    verdicts = collections.Counter()
+
+    def check(m):
+        verdict = spans_whole_lattice(m)
+        assert verdict == (permutation_determinant(m) in (1, -1))
+        verdicts[verdict] += 1
+
+    for n in range(6):
+        for _ in range(40):
+            m = sparse_matrix(rng, n, n, rng.choice((0.3, 0.7, 1.0)), rng.choice((1, 2, 9)))
+            check(m)
             if n >= 2:
                 # singular: the last row is a combination of earlier ones
                 m.data[-1] = [2 * a - 3 * b for a, b in zip(m.data[0], m.data[n - 2])]
-                assert determinant(m) == permutation_determinant(m) == 0
-    with pytest.raises(ValueError):
-        determinant(IntMatrix(2, 3))
+                check(m)
+            _, u, v = smith_normal_form(sparse_matrix(rng, n, rng.randrange(6), 0.7))
+            check(u)
+            check(v)
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_snf_certificate_check_catches_a_non_unimodular_transform(monkeypatch):
+    # (2D, 2U, V) still satisfies U*M*V = D, but 2U's rows span only 2Z^n
+    good = selfcheck.smith_normal_form
+
+    def doubled(m):
+        d, u, v = good(m)
+        twice = lambda x: IntMatrix(x.rows, x.cols, [[2 * c for c in r] for r in x.data])
+        return twice(d), twice(u), v
+
+    monkeypatch.setattr(selfcheck, "smith_normal_form", doubled)
+    with pytest.raises(selfcheck.CheckFailure) as exc:
+        selfcheck.check_snf_certificate(selfcheck.Params())
+    assert str(exc.value) == "snf certificate: transform not unimodular"
+
+
+def test_independence_loads_neither_fractions_nor_decimal():
+    # the rank is an integer echelon, so a fresh interpreter never imports
+    # fractions (nor the decimal it pulls in) on the way to the answer
+    script = ("import sys; from barbell.cli import main; "
+              "code = main(['independence', '--kmin', '4', '--kmax', '40']); "
+              "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(barbell.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.stderr == "0 []\n"
+    assert "rank 37 / 37" in run.stdout
 
 
 def test_cokernel_examples():
@@ -272,7 +320,6 @@ def test_integer_row_span_gcd_combination():
 
 
 def test_quotient_structure_validation():
-    import pytest
     with pytest.raises(ValueError):
         QuotientStructure(1, (3, 2))
     with pytest.raises(ValueError):

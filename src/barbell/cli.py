@@ -8,8 +8,9 @@ validation error, 3 a failed selfcheck invariant (its report, then
 `internal error: <Type>: <message>` line on stderr, an AssertionError
 included).  Integers of any size are read and printed in full.
 Handlers return the JSON payload with zero-argument functions for the
-text lines (and, for fk, the CSV rows), so only the format asked for is
-ever formatted.
+text lines (and, for fk, the CSV rows), each called only for its own
+format.  The payload is built for every format, except that fk builds
+its `entries`, `sum` and `per_level` only for JSON.
 """
 
 import argparse
@@ -158,22 +159,24 @@ def _cmd_fk(args):
     if k < 2:
         raise ValidationError("--k must be >= 2 (F_k needs k >= 2)")
     mat = _fk_matrix(k)
-    payload = {"k": k,
-               "entries": [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
-                           for p, q in sorted(mat)]}
-    if args.per_level and args.format == "json":  # text and CSV print none of it
-        cols = {pq: f_levels(k, *pq) for pq in sorted(mat)}
-        payload["per_level"] = [
-            {"L": lvl, "p": p, "q": q, "class": cols[(p, q)][lvl - 1].to_json()}
-            for lvl in range(1, k) for p, q in cols]
+    payload = {"k": k}
     if args.check_skew:
         ok = all((mat[(p, q)] + mat[(q, p)]).is_zero()
                  for p in range(1, k) for q in range(p, k))  # symmetric in (p, q)
         payload["skew"] = "OK" if ok else "FAIL"
     if args.sum:
         total = GClass.sum(mat.values())
-        payload["sum"] = total.to_json()
         payload["sum_is_zero"] = total.is_zero()
+    if args.format == "json":  # text and CSV print the classes, not their JSON
+        payload["entries"] = [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
+                              for p, q in sorted(mat)]
+        if args.sum:
+            payload["sum"] = total.to_json()
+        if args.per_level:
+            cols = {pq: f_levels(k, *pq) for pq in sorted(mat)}
+            payload["per_level"] = [
+                {"L": lvl, "p": p, "q": q, "class": cols[(p, q)][lvl - 1].to_json()}
+                for lvl in range(1, k) for p, q in cols]
 
     def text():
         lines = ["F_%d(%d,%d) = %r" % (k, p, q, mat[(p, q)]) for p, q in sorted(mat)]
@@ -240,16 +243,15 @@ def _cmd_independence(args):
 
 
 def _cmd_selfcheck(args):
-    params = selfcheck_mod.Params(kmax=args.kmax)
-    lines = []
-    ok, results = selfcheck_mod.run(params, report=lines.append)
-    payload = {"passed": ok, "kmax": params.kmax,
+    ok, results = selfcheck_mod.run(args.kmax)
+    payload = {"passed": ok, "kmax": args.kmax,
                "checks": [{"name": n, "passed": p, "detail": d}
                           for n, p, d in results]}
+    text = lambda: ["ok   " + n if p else "FAIL " + d for n, p, d in results]
     if not ok:
         first = next(n for n, p, _ in results if not p)
-        raise InternalInvariantError(first, payload, lambda: lines)
-    return payload, lambda: lines
+        raise InternalInvariantError(first, payload, text)
+    return payload, text
 
 
 class InternalInvariantError(Exception):

@@ -1,15 +1,18 @@
 """Named runtime invariant suite behind the `selfcheck` command.
 
 Each check re-derives one of the package's structural guarantees from
-scratch at desk scale and raises CheckFailure on the first violation.
-Checks call into the modules through their public attributes, so a
-corrupted table (or a test fixture monkeypatching one) is caught here.
+scratch at desk scale.  It takes the sweep depth `kmax` as a plain int
+and raises CheckFailure(detail) on the first violation.  Check names
+live only in CHECKS; the entry point `run(kmax)` reads CHECKS at call
+time and puts each name in front of its failure detail.  Checks call
+into the modules through their public attributes, so a corrupted table
+(or a test fixture monkeypatching one) is caught here.
 """
 
 import random
 
-from . import DomainError, classes, hexagon, whitehead
-from .classes import GClass, d, delta, e, f_closed, f_levels, g, gstar, w3
+from . import DomainError, hexagon, whitehead
+from .classes import GClass, delta_expansion, e, f_closed, f_levels, g, gstar, w3
 from .hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
                       hex_normal_form, orbit_of, orbit_relators, orbit_structure)
 from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, rank_over_rationals,
@@ -28,10 +31,6 @@ class CheckFailure(Exception):
     pass
 
 
-def _fail(name, detail):
-    raise CheckFailure("%s: %s" % (name, detail))
-
-
 def _rand_poly1(rng, lo=-10, hi=10, nterms=6, cmax=8):
     return LaurentPoly1({rng.randrange(lo, hi + 1): rng.randrange(-cmax, cmax + 1)
                          for _ in range(rng.randrange(0, nterms + 1))})
@@ -47,16 +46,16 @@ def _no_zero_terms(poly):
     return all(c != 0 for c in poly.terms.values())
 
 
-def check_laurent_algebra(params):
+def check_laurent_algebra(kmax):
     rng = random.Random(SEED)
     for _ in range(40):
         p, q, r = (_rand_poly1(rng) for _ in range(3))
         if (p + q) + r != p + (q + r) or p + q != q + p:
-            _fail("laurent algebra", "addition not associative/commutative")
+            raise CheckFailure("addition not associative/commutative")
         if p.bar().bar() != p:
-            _fail("laurent algebra", "bar is not an involution")
+            raise CheckFailure("bar is not an involution")
         if not (_no_zero_terms(p + q) and _no_zero_terms(p.bar())):
-            _fail("laurent algebra", "zero coefficient stored")
+            raise CheckFailure("zero coefficient stored")
     amaps = [AffineMap2((1, -1, 1, 0)), AffineMap2((0, -1, -1, 0)),
              AffineMap2((1, 0, 3, 1), (2, -5))]
     for amap in amaps:
@@ -64,12 +63,12 @@ def check_laurent_algebra(params):
             p2 = _rand_poly2(rng)
             back = p2.reindex(amap, 1).reindex(amap.inverse(), 1)
             if back != p2:
-                _fail("laurent algebra", "reindex inverse round trip failed")
+                raise CheckFailure("reindex inverse round trip failed")
             if not _no_zero_terms(p2.reindex(amap, -1)):
-                _fail("laurent algebra", "zero coefficient stored by reindex")
+                raise CheckFailure("zero coefficient stored by reindex")
 
 
-def check_snf_certificate(params):
+def check_snf_certificate(kmax):
     rng = random.Random(SEED + 1)
     for _ in range(25):
         rows = rng.randrange(1, 7)
@@ -78,20 +77,20 @@ def check_snf_certificate(params):
                       [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)])
         dd, u, v = smith_normal_form(m)
         if u.mul(m).mul(v) != dd:
-            _fail("snf certificate", "U*M*V != D")
+            raise CheckFailure("U*M*V != D")
         # a square matrix is unimodular iff its rows span Z^n
         for x in (u, v):
             if not IntegerRowSpan(x.data).equals(IntegerRowSpan(IntMatrix.identity(x.rows).data)):
-                _fail("snf certificate", "transform not unimodular")
+                raise CheckFailure("transform not unimodular")
         diag = [x for x in dd.diagonal() if x]
         for a, b in zip(diag, diag[1:]):
             if b % a:
-                _fail("snf certificate", "diagonal not a divisibility chain")
+                raise CheckFailure("diagonal not a divisibility chain")
         if rank_over_rationals(m) != len(diag):
-            _fail("snf certificate", "rational rank disagrees with SNF rank")
+            raise CheckFailure("rational rank disagrees with SNF rank")
 
 
-def check_cokernel_invariance(params):
+def check_cokernel_invariance(kmax):
     rng = random.Random(SEED + 2)
     for _ in range(20):
         rows = rng.randrange(2, 6)
@@ -108,29 +107,28 @@ def check_cokernel_invariance(params):
             added[i] = [a + b for a, b in zip(added[i], added[j])]
         for variant in (perm, neg, added):
             if cokernel_structure(IntMatrix(rows, cols, variant)) != base:
-                _fail("cokernel invariance", "row operation changed the structure")
+                raise CheckFailure("row operation changed the structure")
 
 
-def check_lambda_oracle(params):
+def check_lambda_oracle(kmax):
     rng = random.Random(SEED + 3)
     for w0 in range(-6, 7):
         for n in (3, 4, 5, 6):
             ctx = LambdaContext(w0, n)
             m, exps = relator_matrix(ctx, -20, 20)
             if lambda_structure(ctx, (-20, 20)) != cokernel_structure(m):
-                _fail("lambda oracle equivalence", "structure at W0=%d n=%d" % (w0, n))
+                raise CheckFailure("structure at W0=%d n=%d" % (w0, n))
             span = IntegerRowSpan(m.data)
             idx = {k: i for i, k in enumerate(exps)}
             for _ in range(SAMPLES):
                 p = _rand_poly1(rng)
                 vec = {idx[k]: c for k, c in p.terms.items()}
                 if lambda_reduce(p, ctx).is_zero() != span.contains(vec):
-                    _fail("lambda oracle equivalence",
-                          "closed form and SNF membership disagree at "
-                          "W0=%d n=%d on %r" % (w0, n, p))
+                    raise CheckFailure("closed form and SNF membership disagree at "
+                                       "W0=%d n=%d on %r" % (w0, n, p))
 
 
-def check_lambda_additivity(params):
+def check_lambda_additivity(kmax):
     rng = random.Random(SEED + 4)
     for w0 in (-5, -2, 0, 1, 3, 5):
         for n in (3, 4):
@@ -138,13 +136,13 @@ def check_lambda_additivity(params):
             for _ in range(30):
                 p, q = _rand_poly1(rng), _rand_poly1(rng)
                 if lambda_reduce(p + q, ctx) != lambda_reduce(p, ctx) + lambda_reduce(q, ctx):
-                    _fail("lambda additivity", "reduce not additive at W0=%d n=%d" % (w0, n))
+                    raise CheckFailure("reduce not additive at W0=%d n=%d" % (w0, n))
                 again = lambda_reduce(lambda_reduce(p, ctx).free_part, ctx)
                 if again.free_part != lambda_reduce(p, ctx).free_part or again.torsion_bit:
-                    _fail("lambda additivity", "reduce not idempotent at W0=%d n=%d" % (w0, n))
+                    raise CheckFailure("reduce not idempotent at W0=%d n=%d" % (w0, n))
 
 
-def check_theta_span(params):
+def check_theta_span(kmax):
     for w0 in range(-4, 5):
         for n in (3, 4):
             ctx = LambdaContext(w0, n)
@@ -157,22 +155,22 @@ def check_theta_span(params):
                 if ctx.has_torsion() and j == fixed:
                     continue
                 if not span.contains({j: 1}):
-                    _fail("theta span", "t^%d unreachable at W0=%d n=%d" % (j, w0, n))
+                    raise CheckFailure("t^%d unreachable at W0=%d n=%d" % (j, w0, n))
 
 
-def check_cover_multiplicativity(params):
+def check_cover_multiplicativity(kmax):
     rng = random.Random(SEED + 5)
     for _ in range(60):
         x = AlphaCombination({rng.randrange(1, 40): rng.randrange(-5, 6)
                               for _ in range(rng.randrange(0, 5))})
         m1, m2 = rng.randrange(1, 7), rng.randrange(1, 7)
         if cover_pullback(m1 * m2, x) != cover_pullback(m1, cover_pullback(m2, x)):
-            _fail("cover multiplicativity", "m1=%d m2=%d on %r" % (m1, m2, x))
+            raise CheckFailure("m1=%d m2=%d on %r" % (m1, m2, x))
         if cover_pullback(1, x) != x:
-            _fail("cover multiplicativity", "trivial cover moved %r" % (x,))
+            raise CheckFailure("trivial cover moved %r" % (x,))
 
 
-def check_facet_velocity_independence(params):
+def check_facet_velocity_independence(kmax):
     rng = random.Random(SEED + 6)
     for n in (3, 4):
         for _ in range(12):
@@ -182,20 +180,19 @@ def check_facet_velocity_independence(params):
                 base = facet_map(facet, p).drop_edge_pairs()
                 for vel in range(-3, 4):
                     if facet_map(facet, p, vel).drop_edge_pairs() != base:
-                        _fail("facet velocity independence",
-                              "%s image depends on the velocity degree" % facet)
+                        raise CheckFailure("%s image depends on the velocity degree" % facet)
 
 
-def check_cyclic_identity(params):
+def check_cyclic_identity(kmax):
     for n in (3, 4):
         forms = [bracket(deg_n_gen(1, 2, n=n), deg_n_gen(2, 3, n=n), n),
                  bracket(deg_n_gen(2, 3, n=n), deg_n_gen(3, 1, n=n), n),
                  bracket(deg_n_gen(3, 1, n=n), deg_n_gen(1, 2, n=n), n)]
         if forms[0] != forms[1] or forms[1] != forms[2]:
-            _fail("cyclic identity", "three rotations disagree at n=%d" % n)
+            raise CheckFailure("three rotations disagree at n=%d" % n)
 
 
-def check_t_action_compatibility(params):
+def check_t_action_compatibility(kmax):
     rng = random.Random(SEED + 7)
     pairs = ((1, 2), (1, 3), (2, 3))
     for n in (3, 4):
@@ -210,10 +207,10 @@ def check_t_action_compatibility(params):
             x, y = rand_elem(), rand_elem()
             mu = (rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-3, 4))
             if bracket(x.act(mu), y.act(mu), n) != bracket(x, y, n).act(mu):
-                _fail("t-action compatibility", "mu=%r" % (mu,))
+                raise CheckFailure("mu=%r" % (mu,))
 
 
-def check_relator_family_equivalence(params):
+def check_relator_family_equivalence(kmax):
     win = (-4, 4)
     for n in (3, 4):
         derived = {}
@@ -228,18 +225,17 @@ def check_relator_family_equivalence(params):
                 rep = orbit_of(*ab).rep
                 hard.setdefault(rep, []).append(kr)
         if set(derived) != set(hard):
-            _fail("relator family equivalence", "orbit sets differ at n=%d" % n)
+            raise CheckFailure("orbit sets differ at n=%d" % n)
         for rep in derived:
             orbit = orbit_of(*rep)
             idx = orbit.index()
             spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
                                     for poly in fam) for fam in (derived[rep], hard[rep])]
             if not spans[0].equals(spans[1]):
-                _fail("relator family equivalence",
-                      "spans differ on orbit %r at n=%d" % (rep, n))
+                raise CheckFailure("spans differ on orbit %r at n=%d" % (rep, n))
 
 
-def check_orbit_partition(params):
+def check_orbit_partition(kmax):
     rng = random.Random(SEED + 8)
     for _ in range(200):
         v = (rng.randrange(-30, 31), rng.randrange(-30, 31))
@@ -247,43 +243,42 @@ def check_orbit_partition(params):
         for _ in range(6):
             w = R_MAP.apply(*w)
         if w != v:
-            _fail("orbit partition", "r^6 is not the identity")
+            raise CheckFailure("r^6 is not the identity")
         if S_MAP.apply(*S_MAP.apply(*v)) != v:
-            _fail("orbit partition", "s^2 is not the identity")
+            raise CheckFailure("s^2 is not the identity")
         srs = S_MAP.apply(*R_MAP.apply(*S_MAP.apply(*v)))
         rinv = R_MAP.inverse().apply(*v)
         if srs != rinv:
-            _fail("orbit partition", "s r s != r^-1")
+            raise CheckFailure("s r s != r^-1")
     for _ in range(60):
         a = (rng.randrange(-8, 9), rng.randrange(-8, 9))
         b = (rng.randrange(-8, 9), rng.randrange(-8, 9))
         oa, ob = orbit_of(*a), orbit_of(*b)
         ea, eb = set(oa.elements), set(ob.elements)
         if ea & eb and ea != eb:
-            _fail("orbit partition", "orbits neither equal nor disjoint")
+            raise CheckFailure("orbits neither equal nor disjoint")
         for v, els in ((a, ea), (b, eb)):
             if (v not in els or {R_MAP.apply(*u) for u in els} != els
                     or {S_MAP.apply(*u) for u in els} != els):
-                _fail("orbit partition",
-                      "orbit of %r misses it or is not closed under r and s" % (v,))
+                raise CheckFailure("orbit of %r misses it or is not closed under r and s"
+                                   % (v,))
         want = "origin" if a == (0, 0) else ("six" if hexagon.on_degenerate_line(*a) else "twelve")
         if oa.otype != want:
-            _fail("orbit partition", "otype of %r is %s, expected %s" % (a, oa.otype, want))
+            raise CheckFailure("otype of %r is %s, expected %s" % (a, oa.otype, want))
 
 
-def check_relator_orbit_locality(params):
+def check_relator_orbit_locality(kmax):
     for n in (3, 4):
         for p in range(-10, 11):
             for q in range(-10, 11):
                 allowed = set(orbit_of(p, q).elements)
                 for mono in hexagon.k_relator(p, q, n).terms:
                     if mono not in allowed:
-                        _fail("relator orbit-locality",
-                              "relator at (%d,%d) touches %r outside its orbit"
-                              % (p, q, mono))
+                        raise CheckFailure("relator at (%d,%d) touches %r outside its orbit"
+                                           % (p, q, mono))
 
 
-def check_normal_form_soundness(params):
+def check_normal_form_soundness(kmax):
     rng = random.Random(SEED + 9)
     for n in (3, 4):
         for _ in range(40):
@@ -311,62 +306,63 @@ def check_normal_form_soundness(params):
                     member = False
                     break
             if same_nf != member:
-                _fail("normal-form soundness",
-                      "normal-form equality disagrees with span membership (n=%d)" % n)
+                raise CheckFailure("normal-form equality disagrees with span membership "
+                                   "(n=%d)" % n)
 
 
-def check_torsion_factors(params):
+def check_torsion_factors(kmax):
     for n in (3, 4):
         for a in range(-5, 6):
             for b in range(-5, 6):
                 st = orbit_structure(orbit_of(a, b), n)
                 if st != cokernel_structure(orbit_relators(orbit_of(a, b), n)):
-                    _fail("torsion factors", "table != SNF at (%d,%d) n=%d" % (a, b, n))
+                    raise CheckFailure("table != SNF at (%d,%d) n=%d" % (a, b, n))
                 if any(t != 2 for t in st.torsion):
-                    _fail("torsion factors", "invariant factor %r at orbit of (%d,%d)"
-                          % (st.torsion, a, b))
+                    raise CheckFailure("invariant factor %r at orbit of (%d,%d)"
+                                       % (st.torsion, a, b))
 
 
-def check_skew_symmetry(params):
-    for k in range(2, params.kmax + 1):
+def check_skew_symmetry(kmax):
+    for k in range(2, kmax + 1):
         for p in range(1, k):
             for q in range(p, k):  # the identity is symmetric in (p, q)
                 if not (f_closed(k, p, q) + f_closed(k, q, p)).is_zero():
-                    _fail("skew symmetry", "F_%d(%d,%d) + F_%d(%d,%d) != 0"
-                          % (k, p, q, k, q, p))
+                    raise CheckFailure("F_%d(%d,%d) + F_%d(%d,%d) != 0"
+                                       % (k, p, q, k, q, p))
 
 
-def check_total_sum_vanishes(params):
-    for k in range(2, params.kmax + 1):
+def check_total_sum_vanishes(kmax):
+    for k in range(2, kmax + 1):
         total = GClass.sum(f_closed(k, p, q) for p in range(1, k) for q in range(1, k))
         if not total.is_zero():
-            _fail("total sum vanishes", "sum of F_%d is %r" % (k, total))
+            raise CheckFailure("sum of F_%d is %r" % (k, total))
 
 
-def check_per_level_agreement(params):
-    for k in range(2, params.kmax + 1):
+def check_per_level_agreement(kmax):
+    for k in range(2, kmax + 1):
         for p in range(1, k):
             for q in range(1, k):
                 if GClass.sum(f_levels(k, p, q)) != f_closed(k, p, q):
-                    _fail("per-level agreement", "k=%d p=%d q=%d" % (k, p, q))
+                    raise CheckFailure("k=%d p=%d q=%d" % (k, p, q))
 
 
-def check_symmetric_g_compatibility(params):
+def check_symmetric_g_compatibility(kmax):
     # the G* form of the elementary class differs from the G form by the
     # hexagon combination at (-q, p), so the two agree in the quotient
     for p in range(-6, 7):
         for q in range(-6, 7):
             diff = e(p, q) - (gstar(-q, p).neg() + gstar(p, -q))
             if not hex_normal_form(w3(diff, 3)).is_zero():
-                _fail("symmetric-g compatibility", "(p,q)=(%d,%d)" % (p, q))
+                raise CheckFailure("(p,q)=(%d,%d)" % (p, q))
 
 
-def check_delta_expansion(params):
-    for k in range(3, params.kmax + 1):
-        delta(k)  # raises internally on mismatch with the 8-term expansion
+def check_delta_expansion(kmax):
+    for k in range(3, kmax + 1):
+        if f_closed(k, k - 1, k - 2) != delta_expansion(k):
+            raise CheckFailure("delta_%d disagrees with its 8-term expansion" % k)
 
 
-def check_w3_hexagon_vanishing(params):
+def check_w3_hexagon_vanishing(kmax):
     rng = random.Random(SEED + 10)
     for n in (3, 4):
         sgn = 1 if n % 2 else -1
@@ -375,10 +371,10 @@ def check_w3_hexagon_vanishing(params):
             comb = (g(p, q) - g(q, q - p)
                     + (g(p, p - q) - g(q, p)).scale(sgn))
             if not hex_normal_form(w3(comb, n)).is_zero():
-                _fail("w3 hexagon vanishing", "(p,q)=(%d,%d) n=%d" % (p, q, n))
+                raise CheckFailure("(p,q)=(%d,%d) n=%d" % (p, q, n))
 
 
-def check_basis_change_consistency(params):
+def check_basis_change_consistency(kmax):
     rng = random.Random(SEED + 11)
     eps = None
     for _ in range(100):
@@ -390,27 +386,27 @@ def check_basis_change_consistency(params):
         elif lhs == rhs.neg():
             ratio = -1
         else:
-            _fail("basis-change consistency", "value differs beyond sign at (%d,%d)" % (p, q))
+            raise CheckFailure("value differs beyond sign at (%d,%d)" % (p, q))
         if eps is None:
             eps = ratio
         elif ratio != eps:
-            _fail("basis-change consistency", "sign not constant across (p,q)")
+            raise CheckFailure("sign not constant across (p,q)")
 
 
-def check_json_round_trip(params):
+def check_json_round_trip(kmax):
     rng = random.Random(SEED + 12)
     for _ in range(30):
         p1 = _rand_poly1(rng)
         if LaurentPoly1.from_json(p1.to_json()) != p1:
-            _fail("json round trip", "one-variable polynomial")
+            raise CheckFailure("one-variable polynomial")
         p2 = _rand_poly2(rng)
         if LaurentPoly2.from_json(p2.to_json()) != p2:
-            _fail("json round trip", "two-variable polynomial")
+            raise CheckFailure("two-variable polynomial")
         gc = GClass({(rng.randrange(-9, 10), rng.randrange(-9, 10)):
                      rng.randrange(-10 ** 12, 10 ** 12)
                      for _ in range(rng.randrange(0, 5))})
         if GClass.from_json(gc.to_json()) != gc:
-            _fail("json round trip", "G-class")
+            raise CheckFailure("G-class")
 
 
 CHECKS = (
@@ -442,36 +438,22 @@ CHECKS = (
 )
 
 
-class Params:
-    __slots__ = ("kmax",)
+def run(kmax):
+    """Run every check in CHECKS; returns (all_passed, results).
 
-    def __init__(self, kmax=12):
-        if kmax < 3:
-            raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
-        self.kmax = kmax
-
-
-def run(params=None, report=None):
-    """Run every check; returns (all_passed, results).
-
-    results is a list of (name, passed, detail) with detail empty on
-    success.  `report`, if given, is called with one line per check.
+    results is a list of (name, passed, detail), one per check in order,
+    with detail empty on success and "<name>: ..." on failure.
     """
-    params = params or Params()
+    if kmax < 3:
+        raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
     results = []
     for name, fn in CHECKS:
         try:
-            fn(params)
+            fn(kmax)
         except CheckFailure as exc:
-            results.append((name, False, str(exc)))
-            if report:
-                report("FAIL %s" % exc)
+            results.append((name, False, "%s: %s" % (name, exc)))
         except Exception as exc:  # a crashed check is a failed check
             results.append((name, False, "%s: crashed: %r" % (name, exc)))
-            if report:
-                report("FAIL %s: crashed: %r" % (name, exc))
         else:
             results.append((name, True, ""))
-            if report:
-                report("ok   %s" % name)
     return all(ok for _, ok, _ in results), results

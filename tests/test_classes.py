@@ -165,7 +165,7 @@ def test_per_level_sweep_evaluates_every_level(monkeypatch):
 
     monkeypatch.setattr(classes, "_level_form", counted("_level_form", classes._level_form))
     monkeypatch.setattr(selfcheck, "f_closed", counted("f_closed", selfcheck.f_closed))
-    selfcheck.check_per_level_agreement(selfcheck.Params(kmax=8))
+    selfcheck.check_per_level_agreement(8)
     # sum of (k-1)^3 and of (k-1)^2 over 2 <= k <= 8
     assert calls == {"_level_form": 784, "f_closed": 140}
 
@@ -182,8 +182,8 @@ def test_skew_check_catches_a_corrupt_entry_on_either_side(monkeypatch):
 
         monkeypatch.setattr(selfcheck, "f_closed", corrupt)
         with pytest.raises(selfcheck.CheckFailure) as exc:
-            selfcheck.check_skew_symmetry(selfcheck.Params(kmax=6))
-        assert str(exc.value) == "skew symmetry: " + detail
+            selfcheck.check_skew_symmetry(6)
+        assert str(exc.value) == detail
 
 
 def _replace_mid_run(make):
@@ -208,12 +208,12 @@ def test_per_level_check_catches_a_level_changed_inside_a_run(monkeypatch):
     patched, (k, p, q) = _replace_mid_run(lambda level: level + g(0, 0))
     monkeypatch.setattr(selfcheck, "f_levels", patched)
     with pytest.raises(selfcheck.CheckFailure) as exc:
-        selfcheck.check_per_level_agreement(selfcheck.Params(kmax=6))
-    assert str(exc.value) == "per-level agreement: k=%d p=%d q=%d" % (k, p, q)
+        selfcheck.check_per_level_agreement(6)
+    assert str(exc.value) == "k=%d p=%d q=%d" % (k, p, q)
     # a distinct object of equal value splits the run but not the sum
     patched, _ = _replace_mid_run(lambda level: GClass(dict(level.terms)))
     monkeypatch.setattr(selfcheck, "f_levels", patched)
-    selfcheck.check_per_level_agreement(selfcheck.Params(kmax=6))
+    selfcheck.check_per_level_agreement(6)
 
 
 def test_twist_matches_scaled_sum():
@@ -249,6 +249,16 @@ def test_delta_expansion_k4():
             - GClass({(2, -1): -1, (-2, 1): 1, (1, -2): -1, (-1, 2): 1}))
     assert delta(4) == want
     assert delta_expansion(4) == want
+
+
+def test_delta_expansion_check_reports_a_mismatch(monkeypatch):
+    # a wrong expansion is a failed check with its k, not a crash
+    monkeypatch.setattr(selfcheck, "delta_expansion",
+                        lambda k: delta_expansion(k) + g(0, 0) if k == 5 else delta_expansion(k))
+    ok, results = selfcheck.run(6)
+    assert not ok
+    assert [r for r in results if not r[1]] == [
+        ("delta expansion", False, "delta expansion: delta_5 disagrees with its 8-term expansion")]
 
 
 def test_delta_equals_twist():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import barbell.cli as cli
 import barbell.hexagon as hexagon
 import barbell.intlat as intlat
-from barbell import DomainError
+from barbell import DomainError, selfcheck
 from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
 from barbell.hexagon import orbit_of, orbit_structure
@@ -97,6 +97,20 @@ def test_fk_per_level_built_only_for_json(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: per-level block built\n"
 
 
+def test_fk_json_entries_built_only_for_json(capsys, monkeypatch):
+    # text and CSV print the classes themselves, never their JSON dicts
+    def refuse(self):
+        raise RuntimeError("JSON built")
+
+    monkeypatch.setattr(GClass, "to_json", refuse)
+    golden = {tuple(argv): digest for argv, digest in GOLDEN}
+    for fmt in ("text", "csv"):
+        argv = FK + ["--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[tuple(argv)], argv
+
+
 def test_csv_rejected_elsewhere(capsys):
     code, _, err = run_cli(capsys, ["delta", "--k", "4", "--format", "csv"])
     assert code == 2
@@ -108,6 +122,15 @@ def test_independence_text(capsys):
                                     "--n", "3"])
     assert code == 0
     assert out.strip() == "rank 7 / 7: independent"
+
+
+@pytest.mark.parametrize("n, verdict", [("3", "rank 2 / 3: DEPENDENT"),
+                                        ("4", "rank 3 / 3: independent")])
+def test_independence_k3_boundary(capsys, n, verdict):
+    # W3(delta_3) is 0 at n = 3 and nonzero at n = 4
+    code, out, _ = run_cli(capsys, ["independence", "--kmin", "3", "--kmax", "5",
+                                    "--n", n])
+    assert (code, out) == (0, verdict + "\n")
 
 
 def test_independence_json_sparse_matrix(capsys):
@@ -455,3 +478,26 @@ def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):
     assert code == 3
     assert "invariant violated: relator orbit-locality" in err
     assert "FAIL relator orbit-locality" in out
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "7c4a914f87a09565fe6a4b5ede00e69b508fe232f8b3bbcd39eedac194f8416b"),
+    ("json", "40884f1d3663b4342775890921dc38b0b878cc950bad56bcc81bab5ddf4a6057"),
+])
+def test_selfcheck_failure_report_bytes(capsys, monkeypatch, fmt, digest):
+    # two faults: a relator escaping its orbit fails one check and crashes
+    # the three that index its orbit; a raising cover_pullback crashes one
+    real = hexagon.k_relator
+
+    def corrupt(p, q, n):
+        rel = real(p, q, n)
+        return rel + LaurentPoly2.monomial(99, 98) if (p, q) == (2, 1) else rel
+
+    def broken(m, x):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(hexagon, "k_relator", corrupt)
+    monkeypatch.setattr(selfcheck, "cover_pullback", broken)
+    code, out, err = run_cli(capsys, ["selfcheck", "--kmax", "4", "--format", fmt])
+    assert (code, err) == (3, "invariant violated: cover multiplicativity\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -237,8 +237,11 @@ def test_snf_certificate_check_catches_a_non_unimodular_transform(monkeypatch):
 
     monkeypatch.setattr(selfcheck, "smith_normal_form", doubled)
     with pytest.raises(selfcheck.CheckFailure) as exc:
-        selfcheck.check_snf_certificate(selfcheck.Params())
-    assert str(exc.value) == "snf certificate: transform not unimodular"
+        selfcheck.check_snf_certificate(12)
+    assert str(exc.value) == "transform not unimodular"
+    # run puts the check's name, from CHECKS, in front of the detail
+    _, results = selfcheck.run(3)
+    assert ("snf certificate", False, "snf certificate: transform not unimodular") in results
 
 
 def test_independence_loads_neither_fractions_nor_decimal():

@@ -7,10 +7,9 @@ validation error, 3 a failed selfcheck invariant (its report, then
 `invariant violated: <name>` on stderr) or any other internal fault (one
 `internal error: <Type>: <message>` line on stderr, an AssertionError
 included).  Integers of any size are read and printed in full.
-Handlers return the JSON payload with zero-argument functions for the
+Handlers return zero-argument functions for the JSON payload and the
 text lines (and, for fk, the CSV rows), each called only for its own
-format.  The payload is built for every format, except that fk builds
-its `entries`, `sum` and `per_level` only for JSON.
+format.
 """
 
 import argparse
@@ -19,8 +18,8 @@ import sys
 
 from . import DomainError, selfcheck as selfcheck_mod
 from .classes import GClass, delta, f_closed, f_levels, independence_rank, twist_class, w3
-from .hexagon import (HexElement, basis_change_12_to_13, basis_change_13_to_12,
-                      hex_normal_form, orbit_of, orbit_structure)
+from .hexagon import (HexElement, HexNormalForm, basis_change_12_to_13,
+                      basis_change_13_to_12, hex_normal_form, orbit_of, orbit_structure)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_kernel_iterate,
                            cover_pullback, lambda_reduce, lambda_structure)
 from .laurent import LaurentPoly1, LaurentPoly2
@@ -86,22 +85,22 @@ def _cmd_lambda(args):
     if args.action == "reduce":
         poly = _load(LaurentPoly1, args.poly, "polynomial")
         nf = lambda_reduce(poly, ctx)
-        payload = {"w0": ctx.w0, "n": ctx.n, "normal_form": nf.to_json(),
-                   "is_zero": nf.is_zero()}
-        return payload, lambda: ["normal form: %r" % nf]
+        return (lambda: {"w0": ctx.w0, "n": ctx.n, "normal_form": nf.to_json(),
+                         "is_zero": nf.is_zero()},
+                lambda: ["normal form: %r" % nf])
     lo, hi = _parse_window(args.window)
     st = lambda_structure(ctx, (lo, hi))
-    payload = {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi], "structure": st.to_json()}
-    return payload, lambda: ["structure on window [%d, %d]: %r" % (lo, hi, st)]
+    return (lambda: {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi], "structure": st.to_json()},
+            lambda: ["structure on window [%d, %d]: %r" % (lo, hi, st)])
 
 
 def _cmd_cover(args):
     comb = _load(AlphaCombination, args.alpha, "alpha combination")
     if args.action == "apply":
         out = cover_pullback(args.m, comb)
-        return {"m": args.m, "result": out.to_json()}, lambda: ["pullback: %r" % out]
+        return lambda: {"m": args.m, "result": out.to_json()}, lambda: ["pullback: %r" % out]
     ok = cover_kernel_iterate(comb, args.m, args.depth)
-    return ({"m": args.m, "depth": args.depth, "in_kernel": ok},
+    return (lambda: {"m": args.m, "depth": args.depth, "in_kernel": ok},
             lambda: ["in kernel after %d iterations: %s" % (args.depth, "yes" if ok else "no")])
 
 
@@ -109,15 +108,16 @@ def _cmd_whitehead(args):
     if args.action == "facet":
         p = pair_bracket(args.alpha, args.beta, args.n)
         img = facet_map(args.facet, p, args.a1)
-        payload = {"facet": args.facet, "alpha": args.alpha, "beta": args.beta,
-                   "n": args.n, "a1": args.a1, "image": _bracket_json(img)}
-        return payload, lambda: ["image: %r" % img]
+        return (lambda: {"facet": args.facet, "alpha": args.alpha, "beta": args.beta,
+                         "n": args.n, "a1": args.a1, "image": _bracket_json(img)},
+                lambda: ["image: %r" % img])
     lo, hi = _parse_window(args.window)
     rels = derive_R_relators(args.n, (lo, hi))
     # a relator has no pair terms: derive_R_relators checks they cancel
-    entries = [{"alpha": a, "beta": b, "relator": _bracket_json(rel)["triple"]}
-               for (a, b), rel in rels]
-    return ({"n": args.n, "window": [lo, hi], "relators": entries},
+    return (lambda: {"n": args.n, "window": [lo, hi],
+                     "relators": [{"alpha": a, "beta": b,
+                                   "relator": _bracket_json(rel)["triple"]}
+                                  for (a, b), rel in rels]},
             lambda: ["(%d, %d): %r" % (a, b, rel) for (a, b), rel in rels])
 
 
@@ -126,14 +126,12 @@ def _cmd_orbit(args):
         _require(args, ("alpha", "beta", "n"))
         orbit = orbit_of(args.alpha, args.beta)
         st = orbit_structure(orbit, args.n)
-        payload = orbit.to_json()
-        payload["n"] = args.n
-        payload["structure"] = st.to_json()
-        return payload, lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
-                                 % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)]
+        return (lambda: dict(orbit.to_json(), n=args.n, structure=st.to_json()),
+                lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
+                         % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)])
     _require(args, ("alpha", "beta"))
     orbit = orbit_of(args.alpha, args.beta)
-    return (orbit.to_json(),
+    return (orbit.to_json,
             lambda: ["orbit of (%d, %d): %s, rep (%d, %d), elements %s"
                      % (args.alpha, args.beta, orbit.otype, orbit.rep[0], orbit.rep[1],
                         list(orbit.elements))])
@@ -143,11 +141,11 @@ def _cmd_hex(args):
     poly = _load(LaurentPoly2, args.poly, "polynomial")
     if args.action == "reduce":
         nf = hex_normal_form(HexElement(poly, args.n))
-        return ({"n": args.n, "normal_form": nf.to_json(), "is_zero": nf.is_zero()},
+        return (lambda: {"n": args.n, "normal_form": nf, "is_zero": nf.is_zero()},
                 lambda: ["normal form: %r" % nf])
     fn = basis_change_13_to_12 if args.dir == "13to12" else basis_change_12_to_13
     out = fn(poly)
-    return {"dir": args.dir, "result": out.to_json()}, lambda: ["result: %r" % out]
+    return lambda: {"dir": args.dir, "result": out.to_json()}, lambda: ["result: %r" % out]
 
 
 def _fk_matrix(k):
@@ -159,29 +157,33 @@ def _cmd_fk(args):
     if k < 2:
         raise ValidationError("--k must be >= 2 (F_k needs k >= 2)")
     mat = _fk_matrix(k)
-    payload = {"k": k}
+    # the skew verdict and the sum are printed in every format
     if args.check_skew:
         ok = all((mat[(p, q)] + mat[(q, p)]).is_zero()
                  for p in range(1, k) for q in range(p, k))  # symmetric in (p, q)
-        payload["skew"] = "OK" if ok else "FAIL"
+        skew = "OK" if ok else "FAIL"
     if args.sum:
         total = GClass.sum(mat.values())
-        payload["sum_is_zero"] = total.is_zero()
-    if args.format == "json":  # text and CSV print the classes, not their JSON
-        payload["entries"] = [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
-                              for p, q in sorted(mat)]
+
+    def payload():
+        out = {"k": k, "entries": [{"p": p, "q": q, "class": mat[(p, q)].to_json()}
+                                   for p, q in sorted(mat)]}
+        if args.check_skew:
+            out["skew"] = skew
         if args.sum:
-            payload["sum"] = total.to_json()
+            out["sum_is_zero"] = total.is_zero()
+            out["sum"] = total.to_json()
         if args.per_level:
             cols = {pq: f_levels(k, *pq) for pq in sorted(mat)}
-            payload["per_level"] = [
+            out["per_level"] = [
                 {"L": lvl, "p": p, "q": q, "class": cols[(p, q)][lvl - 1].to_json()}
                 for lvl in range(1, k) for p, q in cols]
+        return out
 
     def text():
         lines = ["F_%d(%d,%d) = %r" % (k, p, q, mat[(p, q)]) for p, q in sorted(mat)]
         if args.check_skew:
-            lines.append("skew: %s" % payload["skew"])
+            lines.append("skew: %s" % skew)
         if args.sum:
             lines.append("sum: %r" % total)
         return lines
@@ -193,16 +195,20 @@ def _cmd_fk(args):
 
 
 def _cmd_delta(args):
-    cls = delta(args.k)
-    payload = {"k": args.k, "class": cls.to_json()}
-    if args.expand:
-        payload["expansion"] = cls.to_json()
-        payload["matches_expansion"] = True  # delta() verifies internally
+    cls = delta(args.k)  # raises if delta_k disagrees with its 8-term expansion
     if args.w3:
         nf = hex_normal_form(w3(cls, args.n))
-        payload["n"] = args.n
-        payload["w3_normal_form"] = nf.to_json()
-        payload["w3_is_zero"] = nf.is_zero()
+
+    def payload():
+        out = {"k": args.k, "class": cls.to_json()}
+        if args.expand:
+            out["expansion"] = out["class"]
+            out["matches_expansion"] = True
+        if args.w3:
+            out["n"] = args.n
+            out["w3_normal_form"] = nf
+            out["w3_is_zero"] = nf.is_zero()
+        return out
 
     def text():
         lines = ["delta_%d = %r" % (args.k, cls)]
@@ -218,7 +224,7 @@ def _cmd_twist(args):
     v = _parse_csv_ints(args.v, "--v")
     w = _parse_csv_ints(args.w, "--w")
     cls = twist_class(args.k, v, w)
-    return ({"k": args.k, "v": v, "w": w, "class": cls.to_json()},
+    return (lambda: {"k": args.k, "v": v, "w": w, "class": cls.to_json()},
             lambda: ["twisted class = %r" % cls])
 
 
@@ -231,22 +237,24 @@ def _cmd_independence(args):
     deltas = [delta(k) for k in ks]
     rank, cols, rows = independence_rank(deltas, args.n)
     independent = rank == len(ks)
-    # shape plus the nonzero cells as [i, j, "v"], in row-major order
-    matrix = {"rows": len(rows), "cols": cols,
-              "entries": [[i, j, str(row[j])]
-                          for i, row in enumerate(rows) for j in sorted(row)]}
-    payload = {"kmin": args.kmin, "kmax": args.kmax, "n": args.n,
-               "count": len(ks), "rank": rank, "independent": independent,
-               "matrix": matrix}
+
+    def payload():
+        # shape plus the nonzero cells as [i, j, "v"], in row-major order
+        matrix = {"rows": len(rows), "cols": cols,
+                  "entries": [[i, j, str(row[j])]
+                              for i, row in enumerate(rows) for j in sorted(row)]}
+        return {"kmin": args.kmin, "kmax": args.kmax, "n": args.n,
+                "count": len(ks), "rank": rank, "independent": independent,
+                "matrix": matrix}
     return payload, lambda: ["rank %d / %d: %s" % (
         rank, len(ks), "independent" if independent else "DEPENDENT")]
 
 
 def _cmd_selfcheck(args):
     ok, results = selfcheck_mod.run(args.kmax)
-    payload = {"passed": ok, "kmax": args.kmax,
-               "checks": [{"name": n, "passed": p, "detail": d}
-                          for n, p, d in results]}
+    payload = lambda: {"passed": ok, "kmax": args.kmax,
+                       "checks": [{"name": n, "passed": p, "detail": d}
+                                  for n, p, d in results]}
     text = lambda: ["ok   " + n if p else "FAIL " + d for n, p, d in results]
     if not ok:
         first = next(n for n, p, _ in results if not p)
@@ -382,9 +390,10 @@ _quote = json.encoder.encode_basestring_ascii
 def _json_text(obj):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, built in
     one direct pass.  It takes dicts with str keys, lists, tuples, str,
-    int, bool and None; anything else, a float included, is a TypeError.
-    A plain str or int inside a container is appended to that container's
-    pending text, which is put out before each other child and at the close."""
+    int, bool, None and HexNormalForm, written as the JSON object of its
+    orbits; anything else, a float included, is a TypeError.  A plain str
+    or int inside a container is appended to that container's pending
+    text, which is put out before each other child and at the close."""
     out = []
     put = out.append
 
@@ -423,6 +432,8 @@ def _json_text(obj):
             put("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             put(int.__repr__(o))
+        elif isinstance(o, HexNormalForm):
+            put(_normal_form_text(o, pad))
         else:
             raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
@@ -430,11 +441,29 @@ def _json_text(obj):
     return "".join(out)
 
 
+def _normal_form_text(nf, pad):
+    """_json_text of {"orbits": [{"coords": [{"modulus": m, "value": "v"},
+    ...], "rep": [a, b]}, ...]} for nf at `pad`, with no dict built: each
+    orbit fills one %-template, made once per number of coords."""
+    p2, p3 = pad + "  ", pad + "    "
+    if not nf.orbits:
+        return '{%s"orbits": []%s}' % (p2, pad)
+    p4, p5, p6 = p3 + "  ", p3 + "    ", p3 + "      "
+    coord = '%s{%s"modulus": %%d,%s"value": "%%d"%s}' % (p5, p6, p6, p5)
+    head = '{%s"coords": [' % p4
+    tail = '%s],%s"rep": [%s%%d,%s%%d%s]%s}' % (p4, p4, p5, p5, p4, p3)
+    templates = {size: head + ",".join([coord] * size) + tail
+                 for size in {len(coords) for coords in nf.orbits.values()}}
+    records = [templates[len(coords)] % (*[x for v, m in coords for x in (m, v)], *rep)
+               for rep, coords in sorted(nf.orbits.items())]
+    return '{%s"orbits": [%s%s%s]%s}' % (p2, p3, ("," + p3).join(records), p2, pad)
+
+
 def _render(args, payload, text, csv_rows=None):
-    """The output text; `text` and `csv_rows` are zero-argument functions
-    called only when their format is asked for."""
+    """The output text; `payload`, `text` and `csv_rows` are zero-argument
+    functions, each called only when its format is asked for."""
     if args.format == "json":
-        return _json_text(payload) + "\n"
+        return _json_text(payload()) + "\n"
     if args.format == "csv":
         return "".join(",".join(cell.replace(",", ";") for cell in row) + "\n"
                        for row in csv_rows())

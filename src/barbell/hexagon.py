@@ -219,12 +219,6 @@ class HexNormalForm:
             bits.append("%r: %s" % (rep, list(self.orbits[rep])))
         return "HexNormalForm{%s}" % "; ".join(bits)
 
-    def to_json(self):
-        return {"orbits": [{"rep": list(rep),
-                            "coords": [{"value": str(v), "modulus": m}
-                                       for v, m in coords]}
-                           for rep, coords in sorted(self.orbits.items())]}
-
 
 def hex_normal_form(x):
     """Canonical form of a HexElement in the quotient by the relators."""

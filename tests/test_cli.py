@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import barbell.cli as cli
 import barbell.hexagon as hexagon
 import barbell.intlat as intlat
+import barbell.laurent as laurent
 from barbell import DomainError, selfcheck
 from barbell.classes import GClass, delta, independence_rank
 from barbell.cli import main
@@ -45,6 +46,7 @@ def test_delta_expand_json_has_eight_terms(capsys):
             - GClass({(2, -1): -1, (-2, 1): 1, (1, -2): -1, (-1, 2): 1}))
     assert cls == want
     assert len(payload["class"]["terms"]) == 8
+    assert payload["expansion"] == payload["class"]
     assert payload["matches_expansion"] is True
 
 
@@ -97,18 +99,30 @@ def test_fk_per_level_built_only_for_json(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: per-level block built\n"
 
 
-def test_fk_json_entries_built_only_for_json(capsys, monkeypatch):
-    # text and CSV print the classes themselves, never their JSON dicts
-    def refuse(self):
+# the text form of every golden argv, with its digest where that is pinned;
+# selfcheck is left out, since its round-trip check calls to_json itself
+_NOT_JSON = {}
+for _argv, _digest in GOLDEN:
+    if _argv[0] != "selfcheck":
+        _text = tuple("text" if a == "json" else a for a in _argv)
+        _NOT_JSON[_text] = _digest if "json" not in _argv else _NOT_JSON.get(_text)
+
+
+@pytest.mark.parametrize("argv, digest", list(_NOT_JSON.items()),
+                         ids=[" ".join(a[:3]) + " #%d" % i for i, a in enumerate(_NOT_JSON)])
+def test_non_json_formats_build_no_json(capsys, monkeypatch, argv, digest):
+    # text and CSV print the classes and normal forms themselves: every
+    # handler's JSON payload is a function that only --format json calls
+    def refuse(*args):
         raise RuntimeError("JSON built")
 
-    monkeypatch.setattr(GClass, "to_json", refuse)
-    golden = {tuple(argv): digest for argv, digest in GOLDEN}
-    for fmt in ("text", "csv"):
-        argv = FK + ["--format", fmt]
-        code, out, err = run_cli(capsys, argv)
-        assert (code, err) == (0, ""), argv
-        assert hashlib.sha256(out.encode()).hexdigest() == golden[tuple(argv)], argv
+    _, want, _ = run_cli(capsys, list(argv))
+    monkeypatch.setattr(laurent.Terms, "to_json", refuse)
+    monkeypatch.setattr(cli, "_normal_form_text", refuse)
+    code, out, err = run_cli(capsys, list(argv))
+    assert (code, err, out) == (0, "", want)
+    if digest is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_csv_rejected_elsewhere(capsys):
@@ -284,6 +298,14 @@ def test_validation_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _normal_form_json(nf):
+    """The JSON object of a HexNormalForm, built as dicts: the reference
+    that cli._normal_form_text writes without them."""
+    return {"orbits": [{"rep": list(rep),
+                        "coords": [{"value": str(v), "modulus": m} for v, m in coords]}
+                       for rep, coords in sorted(nf.orbits.items())]}
+
+
 def test_integers_of_any_size_go_in_and_out(capsys):
     # past Python's default 4300-digit int <-> str limit, as a decimal
     # string and as a JSON literal; main lifts the limit only while it runs
@@ -304,6 +326,25 @@ def test_integers_of_any_size_go_in_and_out(capsys):
     assert (code, err) == (0, "")
     coords = json.loads(out)["normal_form"]["orbits"][0]["coords"]
     assert [v["value"] for v in coords if v["value"] != "0"] == ["2" + "9" * 4299 + "7"]
+    # the orbit template's %d is bound by the same limit: every byte of a
+    # form with 5000-digit values of either sign in three orbits, at even n
+    poly = json.dumps({"terms": [{"e1": 3, "e2": 1, "c": big}, {"e1": 1, "e2": 0, "c": "-" + big},
+                                 {"e1": 2, "e2": 1, "c": big}, {"e1": 0, "e2": 0, "c": "1"}]})
+    code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "4", "--poly", poly,
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    values = [c["value"] for orbit in json.loads(out)["normal_form"]["orbits"]
+              for c in orbit["coords"]]
+    assert big in values and "-" + big in values
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        nf = hexagon.hex_normal_form(hexagon.HexElement(LaurentPoly2.from_json(json.loads(poly)), 4))
+        want = {"is_zero": False, "n": 4, "normal_form": _normal_form_json(nf)}
+        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom"), AssertionError("boom")],
@@ -397,10 +438,58 @@ def test_json_text_rejects_what_is_not_the_contract(obj):
 
 
 def test_float_in_payload_exits_3(capsys, monkeypatch):
-    monkeypatch.setitem(cli._HANDLERS, "delta", lambda args: ({"k": 0.5}, lambda: []))
+    monkeypatch.setitem(cli._HANDLERS, "delta", lambda args: (lambda: {"k": 0.5}, lambda: []))
     code, out, err = run_cli(capsys, ["delta", "--k", "4", "--format", "json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: TypeError: ") and err.count("\n") == 1
+
+
+# each orbit shape and coords length (1, 4 and 7), negative and huge values
+_ALL_SHAPES = LaurentPoly2({(0, 0): 3, (1, 0): -2, (0, 1): 5, (5, 5): -3, (2, 1): 4,
+                            (1, 2): -1, (-1, 1): 7, (3, 1): 6, (1, 3): -9, (2, -1): 1,
+                            (-2, 5): -123456789012345678901234567890})
+# odd coefficients on an edge orbit (torsion at odd n) and a vertex orbit (at even n)
+_TORSION = LaurentPoly2({(-2, -1): 1, (-1, -1): -5})
+# the empty form, from no terms and from a nonzero sum of relators
+_LEAF_EXAMPLES = [(LaurentPoly2({}), 3), (hexagon.k_relator(2, 1, 4).scale(-3), 4),
+                  (_ALL_SHAPES, 3), (_ALL_SHAPES, 4), (_TORSION, 3), (_TORSION, 4)]
+
+
+def test_normal_form_leaf_examples_cover_every_case():
+    forms = [hexagon.hex_normal_form(hexagon.HexElement(poly, n)) for poly, n in _LEAF_EXAMPLES]
+    assert sum(nf.is_zero() for nf in forms) == 2
+    coords = [c for nf in forms for cs in nf.orbits.values() for c in cs]
+    assert any(v < 0 for v, _ in coords)
+    for n in (3, 4):
+        assert any(m > 1 and v for (_, n_), nf in zip(_LEAF_EXAMPLES, forms) if n_ == n
+                   for cs in nf.orbits.values() for v, m in cs), n
+    assert {hexagon._shape(orbit_of(*rep)) for nf in forms for rep in nf.orbits} == {
+        "origin", "vertex", "edge", "twelve"}
+
+
+_EXPONENTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+_POLYS = st.dictionaries(_EXPONENTS, st.one_of(st.integers(-3, 3), _HUGE),
+                         max_size=12).map(LaurentPoly2)
+
+
+def _with_leaf_examples(test):
+    for poly, n in _LEAF_EXAMPLES:
+        test = example(poly, n)(test)
+    return test
+
+
+@_with_leaf_examples
+@PROPERTY
+@given(_POLYS, st.sampled_from([3, 4]))
+def test_normal_form_leaf_equals_json_dumps(poly, n):
+    # at top level, as delta --w3 nests it, and inside a list after a scalar
+    nf = hexagon.hex_normal_form(hexagon.HexElement(poly, n))
+    ref = _normal_form_json(nf)
+    for obj, want in ((nf, ref),
+                      ({"n": n, "w3_normal_form": nf, "w3_is_zero": nf.is_zero()},
+                       {"n": n, "w3_normal_form": ref, "w3_is_zero": nf.is_zero()}),
+                      ([1, nf, "x", [nf]], [1, ref, "x", [ref]])):
+        assert cli._json_text(obj) == json.dumps(want, sort_keys=True, indent=2)
 
 
 def test_json_never_formats_text(capsys, monkeypatch):

@@ -122,6 +122,9 @@ GOLDEN = [
     (["whitehead", "facet", "--facet", "t2=t3", "--alpha", "3", "--beta", "-2",
       "--n", "3", "--a1", "4", "--format", "text"],
      "b453cc4c5e2229fe4113b8be9955bf3cce6a8f2eb49910f7d554c40c465945bb"),
+    # a W3 normal form at even n, written by the orbit template
+    (["delta", "--k", "9", "--w3", "--n", "4", "--format", "json"],
+     "1db6102459ded1b3f9f5796ff7962556ddf3805aa033055716c05e622d9f2221"),
 ]
 
 

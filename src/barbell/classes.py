@@ -16,7 +16,7 @@ Each class is built once, from a flat list of (key, coeff) pairs.
 """
 
 from . import DomainError
-from .hexagon import HexElement, hex_normal_form
+from .hexagon import hex_normal_form
 from .intlat import IntegerRowSpan
 from .laurent import LaurentPoly2, Terms
 
@@ -163,9 +163,10 @@ def delta(k):
     return out
 
 
-def w3(x, n):
-    """Third-order invariant: G(p,q) -> t1^p t2^q [w13, w23], linearly."""
-    return HexElement(LaurentPoly2(dict(x.terms)), n)
+def w3(x):
+    """Third-order invariant: G(p,q) -> t1^p t2^q [w13, w23], linearly, as
+    the (t1, t2)-polynomial of the bracket's coefficient."""
+    return LaurentPoly2(x.terms)
 
 
 def independence_rank(classes, n):
@@ -181,7 +182,7 @@ def independence_rank(classes, n):
     """
     if not classes:
         raise DomainError("need at least one class")
-    frees = [hex_normal_form(w3(x, n)).free_coordinates() for x in classes]
+    frees = [hex_normal_form(w3(x), n).free_coordinates() for x in classes]
     col_index = {c: i for i, c in enumerate(sorted(set().union(*frees)))}
     rows = [{col_index[key]: val for key, val in f.items()} for f in frees]
     return len(IntegerRowSpan(rows).rows), len(col_index), rows

@@ -14,12 +14,13 @@ format.
 
 import argparse
 import json
+import os
 import sys
 
 from . import DomainError, selfcheck as selfcheck_mod
 from .classes import GClass, delta, f_closed, f_levels, independence_rank, twist_class, w3
-from .hexagon import (HexElement, HexNormalForm, basis_change_12_to_13,
-                      basis_change_13_to_12, hex_normal_form, orbit_of, orbit_structure)
+from .hexagon import (HexNormalForm, basis_change_12_to_13, hex_normal_form, orbit_of,
+                      orbit_structure)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_kernel_iterate,
                            cover_pullback, lambda_reduce, lambda_structure)
 from .laurent import LaurentPoly1, LaurentPoly2
@@ -140,11 +141,10 @@ def _cmd_orbit(args):
 def _cmd_hex(args):
     poly = _load(LaurentPoly2, args.poly, "polynomial")
     if args.action == "reduce":
-        nf = hex_normal_form(HexElement(poly, args.n))
+        nf = hex_normal_form(poly, args.n)
         return (lambda: {"n": args.n, "normal_form": nf, "is_zero": nf.is_zero()},
                 lambda: ["normal form: %r" % nf])
-    fn = basis_change_13_to_12 if args.dir == "13to12" else basis_change_12_to_13
-    out = fn(poly)
+    out = basis_change_12_to_13(poly)  # an involution: one map for either --dir
     return lambda: {"dir": args.dir, "result": out.to_json()}, lambda: ["result: %r" % out]
 
 
@@ -197,7 +197,7 @@ def _cmd_fk(args):
 def _cmd_delta(args):
     cls = delta(args.k)  # raises if delta_k disagrees with its 8-term expansion
     if args.w3:
-        nf = hex_normal_form(w3(cls, args.n))
+        nf = hex_normal_form(w3(cls), args.n)
 
     def payload():
         out = {"k": args.k, "class": cls.to_json()}
@@ -479,7 +479,16 @@ def _emit(args, rendered):
             raise ValidationError("cannot write --output %s: %s"
                                   % (args.output, exc.strerror or exc))
     else:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        except OSError as exc:
+            # send what is still buffered to devnull, so that the flush at
+            # interpreter exit neither fails nor changes the exit code
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise ValidationError("cannot write stdout: %s" % (exc.strerror or exc))
 
 
 def main(argv=None):

@@ -144,12 +144,6 @@ def _smith_coordinates(orbit, n):
     return v, tuple(d.diagonal() + [0] * (d.cols - min(d.rows, d.cols)))
 
 
-# (shape, n % 2) -> (V, moduli) from one orbit of each shape; never mutated
-_SHAPE_SNF = {(_shape(orbit), n % 2): _smith_coordinates(orbit, n)
-              for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
-              for n in (3, 4)}
-
-
 def _sparse_rows(v, moduli):
     """(rows, moduli) over the Smith coordinates whose modulus is not 1:
     row i lists (coordinate, V[i][j]) for each nonzero entry of element i."""
@@ -159,26 +153,11 @@ def _sparse_rows(v, moduli):
     return rows, tuple(moduli[j] for j in keep)
 
 
-# (shape, n % 2) -> _SHAPE_SNF's V and moduli as sparse rows; never mutated
-_SHAPE_ROWS = {key: _sparse_rows(*snf) for key, snf in _SHAPE_SNF.items()}
-
-
-class HexElement:
-    """A (t1, t2)-polynomial read as sum of c * t1^p t2^q [w13, w23]."""
-
-    __slots__ = ("poly", "n")
-
-    def __init__(self, poly, n):
-        check_sphere_dimension(n)
-        self.poly = poly
-        self.n = n
-
-    def __eq__(self, other):
-        return (isinstance(other, HexElement) and self.n == other.n
-                and self.poly == other.poly)
-
-    def __repr__(self):
-        return "HexElement(%r, n=%d)" % (self.poly, self.n)
+# (shape, n % 2) -> the sparse Smith rows and moduli of one orbit of each
+# shape; never mutated
+_SHAPE_ROWS = {(_shape(orbit), n % 2): _sparse_rows(*_smith_coordinates(orbit, n))
+               for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
+               for n in (3, 4)}
 
 
 class HexNormalForm:
@@ -220,16 +199,17 @@ class HexNormalForm:
         return "HexNormalForm{%s}" % "; ".join(bits)
 
 
-def hex_normal_form(x):
-    """Canonical form of a HexElement in the quotient by the relators."""
-    terms = x.poly.terms
+def hex_normal_form(poly, n):
+    """Canonical form of poly * [w13, w23] in the quotient by the relators."""
+    check_sphere_dimension(n)
+    terms = poly.terms
     seen = set()
     out = {}
     for mono in terms:
         if mono in seen:
             continue
         orbit = orbit_of(*mono)
-        rows, moduli = _SHAPE_ROWS[(_shape(orbit), x.n % 2)]
+        rows, moduli = _SHAPE_ROWS[(_shape(orbit), n % 2)]
         # coordinates in the Smith basis: (vec . V) entry-wise mod d_i
         y = [0] * len(moduli)
         for el, row in zip(orbit.elements, rows):
@@ -251,9 +231,6 @@ _CHART = AffineMap2((1, -1, 0, -1))
 
 
 def basis_change_12_to_13(poly):
-    """From t1^m t3^v [w12,w23] coordinates to t1^p t2^q [w13,w23]."""
+    """From t1^m t3^v [w12,w23] coordinates to t1^p t2^q [w13,w23], and
+    back: the chart change is an involution, so it is its own inverse."""
     return poly.reindex(_CHART, -1)
-
-
-# the chart change is an involution, so it is its own inverse
-basis_change_13_to_12 = basis_change_12_to_13

@@ -290,13 +290,13 @@ def test_w3_factors_through_hexagon_relation():
         sgn = 1 if n % 2 else -1
         for p, q in ((5, 2), (1, 4), (-3, -1), (0, 6)):
             comb = g(p, q) - g(q, q - p) + (g(p, p - q) - g(q, p)).scale(sgn)
-            assert hex_normal_form(w3(comb, n)).is_zero()
+            assert hex_normal_form(w3(comb), n).is_zero()
 
 
 def test_delta3_vanishes_delta4_does_not():
     assert not delta(3).is_zero()
-    assert hex_normal_form(w3(delta(3), 3)).is_zero()
-    assert not hex_normal_form(w3(delta(4), 3)).is_zero()
+    assert hex_normal_form(w3(delta(3)), 3).is_zero()
+    assert not hex_normal_form(w3(delta(4)), 3).is_zero()
 
 
 def test_independence_examples():
@@ -335,7 +335,7 @@ def test_gstar_form_of_e_agrees_in_quotient():
     for p in range(-4, 5):
         for q in range(-4, 5):
             diff = e(p, q) - (gstar(-q, p).neg() + gstar(p, -q))
-            assert hex_normal_form(w3(diff, 3)).is_zero()
+            assert hex_normal_form(w3(diff), 3).is_zero()
 
 
 def test_gclass_json_round_trip():

@@ -2,6 +2,8 @@ import collections
 import enum
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -339,7 +341,7 @@ def test_integers_of_any_size_go_in_and_out(capsys):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        nf = hexagon.hex_normal_form(hexagon.HexElement(LaurentPoly2.from_json(json.loads(poly)), 4))
+        nf = hexagon.hex_normal_form(LaurentPoly2.from_json(json.loads(poly)), 4)
         want = {"is_zero": False, "n": 4, "normal_form": _normal_form_json(nf)}
         assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
     finally:
@@ -366,7 +368,7 @@ def test_library_rejects_sphere_dimension_below_3():
     # the CLI exits 2 on --n < 3 before any of these run; the library
     # entry points refuse the same n themselves
     calls = (lambda: orbit_structure(orbit_of(1, 0), 1),
-             lambda: hexagon.hex_normal_form(hexagon.HexElement(LaurentPoly2.monomial(0, 0), 2)),
+             lambda: hexagon.hex_normal_form(LaurentPoly2.monomial(0, 0), 2),
              lambda: pair_bracket(1, 2, 2),
              lambda: derive_R_relators(1, (-1, 1)),
              lambda: independence_rank([delta(4)], 1))
@@ -380,7 +382,7 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     # ValueError, which is a fault of the package, not of the input
     assert issubclass(cli.ValidationError, DomainError)
     monkeypatch.setattr(cli, "hex_normal_form",
-                        lambda x: IntMatrix.identity(2).mul(IntMatrix.identity(1)))
+                        lambda poly, n: IntMatrix.identity(2).mul(IntMatrix.identity(1)))
     code, out, err = run_cli(capsys, ["hex", "reduce", "--n", "3", "--poly", HEX,
                                       "--format", "json"])
     assert (code, out) == (3, "")
@@ -456,7 +458,7 @@ _LEAF_EXAMPLES = [(LaurentPoly2({}), 3), (hexagon.k_relator(2, 1, 4).scale(-3), 
 
 
 def test_normal_form_leaf_examples_cover_every_case():
-    forms = [hexagon.hex_normal_form(hexagon.HexElement(poly, n)) for poly, n in _LEAF_EXAMPLES]
+    forms = [hexagon.hex_normal_form(poly, n) for poly, n in _LEAF_EXAMPLES]
     assert sum(nf.is_zero() for nf in forms) == 2
     coords = [c for nf in forms for cs in nf.orbits.values() for c in cs]
     assert any(v < 0 for v, _ in coords)
@@ -483,7 +485,7 @@ def _with_leaf_examples(test):
 @given(_POLYS, st.sampled_from([3, 4]))
 def test_normal_form_leaf_equals_json_dumps(poly, n):
     # at top level, as delta --w3 nests it, and inside a list after a scalar
-    nf = hexagon.hex_normal_form(hexagon.HexElement(poly, n))
+    nf = hexagon.hex_normal_form(poly, n)
     ref = _normal_form_json(nf)
     for obj, want in ((nf, ref),
                       ({"n": n, "w3_normal_form": nf, "w3_is_zero": nf.is_zero()},
@@ -523,6 +525,23 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert GClass.from_json(json.loads(target.read_text())["class"]) == delta(4)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["delta", "--k", "4"], ["fk", "--k", "20", "--format", "json"]],
+                         ids=["small", "large"])
+def test_unwritable_stdout_exits_2(argv, unbuffered):
+    # a full device is an unwritable output like a bad --output: one error
+    # line and exit 2, with nothing left over for the flush at interpreter exit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "barbell.cli"] + argv, env=env,
+                             stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: "
+                                               "No space left on device\n")
 
 
 def test_selfcheck_passes(capsys):

@@ -2,9 +2,8 @@ import random
 
 import barbell.hexagon as hexagon
 from barbell.classes import delta, w3
-from barbell.hexagon import (HexElement, R_MAP, S_MAP, basis_change_12_to_13,
-                             basis_change_13_to_12, hex_normal_form, k_relator,
-                             on_degenerate_line, orbit_of, orbit_relators,
+from barbell.hexagon import (R_MAP, S_MAP, basis_change_12_to_13, hex_normal_form,
+                             k_relator, on_degenerate_line, orbit_of, orbit_relators,
                              orbit_structure)
 from barbell.intlat import (IntegerRowSpan, IntMatrix, QuotientStructure, cokernel_structure,
                             smith_normal_form)
@@ -54,12 +53,12 @@ def test_orbit_of_matches_bfs_reference():
 def test_normal_form_reduces_each_orbit_block_once(monkeypatch):
     calls = []
     monkeypatch.setattr(hexagon, "orbit_of", lambda a, b: calls.append((a, b)) or orbit_of(a, b))
-    polys = [w3(delta(k), 3).poly for k in (4, 9, 25)]
+    polys = [w3(delta(k)) for k in (4, 9, 25)]
     polys.append(polys[0] + polys[1] + polys[2])
     for poly in polys:
         blocks = {orbit_of(*mono).rep for mono in poly.terms}
         calls.clear()
-        hex_normal_form(HexElement(poly, 3))
+        hex_normal_form(poly, 3)
         assert len(calls) == len(blocks) < len(poly.terms)
 
 
@@ -165,47 +164,59 @@ def test_structure_classification_sweep():
                 assert even == QuotientStructure(4), orbit.rep
 
 
+# one orbit of each shape
+SHAPE_REPS = {"origin": orbit_of(0, 0), "vertex": orbit_of(-1, 0), "edge": orbit_of(-1, 1),
+              "twelve": orbit_of(-2, 1)}
+
+
 def test_shape_table_matches_per_orbit_smith_form():
+    assert all(hexagon._shape(orbit) == shape for shape, orbit in SHAPE_REPS.items())
+    rep_snf = {(shape, n): hexagon._smith_coordinates(orbit, n)
+               for shape, orbit in SHAPE_REPS.items() for n in range(3, 7)}
     orbits = {orbit_of(a, b) for a in range(-30, 31) for b in range(-30, 31)}
     for orbit in orbits:
+        shape = hexagon._shape(orbit)
         for n in range(3, 7):
             d, _, v = smith_normal_form(orbit_relators(orbit, n))
             diag = d.diagonal() + [0] * len(orbit.elements)
             want = (v, tuple(diag[:len(orbit.elements)]))
-            assert hexagon._SHAPE_SNF[(hexagon._shape(orbit), n % 2)] == want, (orbit.rep, n)
+            assert rep_snf[(shape, n)] == want, (orbit.rep, n)
+            assert hexagon._SHAPE_ROWS[(shape, n % 2)] == hexagon._sparse_rows(*want), (
+                orbit.rep, n)
             want = cokernel_structure(orbit_relators(orbit, n))
             assert orbit_structure(orbit, n) == want, (orbit.rep, n)
 
 
 def test_sparse_rows_match_shape_table():
-    assert len(hexagon._SHAPE_ROWS) == 8
-    assert set(hexagon._SHAPE_ROWS) == set(hexagon._SHAPE_SNF)
-    for key, (v, moduli) in hexagon._SHAPE_SNF.items():
-        rows, kept = hexagon._SHAPE_ROWS[key]
-        keep = [j for j, m in enumerate(moduli) if m != 1]
-        assert kept == tuple(moduli[j] for j in keep), key
-        assert len(rows) == v.rows == v.cols == len(moduli), key
-        for i, row in enumerate(rows):
-            coords = [c for c, _ in row]
-            assert coords == sorted(set(coords)) and all(a for _, a in row), (key, i)
-            dense = [0] * len(keep)
-            for c, a in row:
-                dense[c] = a
-            assert dense == [v.data[i][j] for j in keep], (key, i)
+    assert set(hexagon._SHAPE_ROWS) == {(shape, n % 2) for shape in SHAPE_REPS for n in (3, 4)}
+    for shape, orbit in SHAPE_REPS.items():
+        for n in (3, 4):
+            v, moduli = hexagon._smith_coordinates(orbit, n)
+            rows, kept = hexagon._SHAPE_ROWS[(shape, n % 2)]
+            keep = [j for j, m in enumerate(moduli) if m != 1]
+            assert kept == tuple(moduli[j] for j in keep), (shape, n)
+            assert len(rows) == v.rows == v.cols == len(moduli), (shape, n)
+            for i, row in enumerate(rows):
+                coords = [c for c, _ in row]
+                assert coords == sorted(set(coords)) and all(a for _, a in row), (shape, n, i)
+                dense = [0] * len(keep)
+                for c, a in row:
+                    dense[c] = a
+                assert dense == [v.data[i][j] for j in keep], (shape, n, i)
 
 
-def dense_normal_form(x):
-    """Reference: each orbit's coefficient vector times its shape's V as
-    IntMatrix objects, reduced mod the moduli; also counts the negative
-    values met on torsion coordinates."""
-    terms = x.poly.terms
+def dense_normal_form(poly, n):
+    """Reference: each orbit's coefficient vector times the orbit's own
+    Smith V as IntMatrix objects, reduced mod the moduli; also counts the
+    negative values met on torsion coordinates."""
+    terms = poly.terms
     out = {}
     negative_torsion = 0
     for mono in terms:
         orbit = orbit_of(*mono)
         if orbit.rep in out:
             continue
-        v, moduli = hexagon._SHAPE_SNF[(hexagon._shape(orbit), x.n % 2)]
+        v, moduli = hexagon._smith_coordinates(orbit, n)
         vec = IntMatrix(1, len(orbit.elements), [[terms.get(el, 0) for el in orbit.elements]])
         ys = vec.mul(v).data[0]
         negative_torsion += sum(1 for y, m in zip(ys, moduli) if m > 1 and y < 0)
@@ -236,12 +247,12 @@ def test_normal_form_matches_dense_reference():
                 crowded += len(picked) > 1
                 for el in picked:
                     terms[el] = coefficient()
-            x = HexElement(LaurentPoly2(terms), n)
-            want, negatives = dense_normal_form(x)
+            poly = LaurentPoly2(terms)
+            want, negatives = dense_normal_form(poly, n)
             if n % 2 == 0:
                 negative_torsion += negatives
-            assert hex_normal_form(x).orbits == want, (n, terms)
-            shapes.update(hexagon._shape(orbit_of(*mono)) for mono in x.poly.terms)
+            assert hex_normal_form(poly, n).orbits == want, (n, terms)
+            shapes.update(hexagon._shape(orbit_of(*mono)) for mono in poly.terms)
     assert shapes == {"origin", "vertex", "edge", "twelve"}
     assert crowded and negative_torsion
 
@@ -257,12 +268,12 @@ def test_relator_orbit_locality():
 def test_relators_normalize_to_zero():
     for n in (3, 4):
         for p, q in ((2, 1), (5, 2), (-3, 4), (0, 0), (1, 1)):
-            nf = hex_normal_form(HexElement(k_relator(p, q, n), n))
+            nf = hex_normal_form(k_relator(p, q, n), n)
             assert nf.is_zero()
 
 
 def test_origin_monomial_is_rank_one():
-    nf = hex_normal_form(HexElement(LaurentPoly2.monomial(0, 0), 3))
+    nf = hex_normal_form(LaurentPoly2.monomial(0, 0), 3)
     assert not nf.is_zero()
     assert list(nf.orbits) == [(0, 0)]
     assert nf.orbits[(0, 0)] == ((1, 0),)
@@ -271,10 +282,10 @@ def test_origin_monomial_is_rank_one():
 def test_hexagon_combination_vanishes_for_odd_n():
     p, q = 5, 2
     comb = LaurentPoly2({(p, q): 1, (p, p - q): 1, (q, p): -1, (q, q - p): -1})
-    assert hex_normal_form(HexElement(comb, 3)).is_zero()
+    assert hex_normal_form(comb, 3).is_zero()
     # the even-parity form vanishes for n = 4
     comb4 = LaurentPoly2({(p, q): 1, (q, q - p): -1, (p, p - q): -1, (q, p): 1})
-    assert hex_normal_form(HexElement(comb4, 4)).is_zero()
+    assert hex_normal_form(comb4, 4).is_zero()
 
 
 def relator_span_member(diff, n, orbit_fn):
@@ -305,8 +316,7 @@ def test_normal_form_soundness_random():
             else:
                 y = LaurentPoly2({(rng.randrange(-4, 5), rng.randrange(-4, 5)):
                                   rng.randrange(-4, 5) for _ in range(4)})
-            same = (hex_normal_form(HexElement(x, n)) ==
-                    hex_normal_form(HexElement(y, n)))
+            same = hex_normal_form(x, n) == hex_normal_form(y, n)
             # the BFS-built orbits make the oracle free of orbit_of's element order
             assert same == relator_span_member(x - y, n, orbit_of)
             assert same == relator_span_member(
@@ -325,5 +335,5 @@ def test_basis_change_round_trip():
     for _ in range(100):
         p = LaurentPoly2({(rng.randrange(-9, 10), rng.randrange(-9, 10)):
                           rng.randrange(-9, 10) for _ in range(5)})
-        assert basis_change_13_to_12(basis_change_12_to_13(p)) == p
-        assert basis_change_12_to_13(basis_change_13_to_12(p)) == p
+        # the chart change is an involution, so one map serves both directions
+        assert basis_change_12_to_13(basis_change_12_to_13(p)) == p

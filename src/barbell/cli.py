@@ -2,14 +2,14 @@
 
 Every subcommand is deterministic: identical argv yields byte-identical
 output.  JSON is the stable machine contract, text is for humans, and
-CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2
-validation error, 3 a failed selfcheck invariant (its report, then
-`invariant violated: <name>` on stderr) or any other internal fault (one
-`internal error: <Type>: <message>` line on stderr, an AssertionError
-included).  Integers of any size are read and printed in full.
-Handlers return zero-argument functions for the JSON payload and the
-text lines (and, for fk, the CSV rows), each called only for its own
-format.
+CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2 a
+`DomainError`, the one validation error type, 3 a failed selfcheck
+invariant (its report, then `invariant violated: <name>` on stderr) or
+any other internal fault (one `internal error: <Type>: <message>` line
+on stderr, an AssertionError included).  Integers of any size are read
+and printed in full.  Handlers return zero-argument functions for the
+JSON payload and the text lines (and, for fk, the CSV rows), each called
+only for its own format.
 """
 
 import argparse
@@ -27,34 +27,30 @@ from .laurent import LaurentPoly1, LaurentPoly2
 from .whitehead import derive_R_relators, facet_map, pair_bracket
 
 
-class ValidationError(DomainError):
-    pass
-
-
 def _parse_json(text, what):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ValidationError("bad %s JSON: %s" % (what, exc))
+        raise DomainError("bad %s JSON: %s" % (what, exc))
 
 
 def _load(cls, text, what):
     obj = _parse_json(text, what)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms", []), list):
-        raise ValidationError('bad %s payload: expected an object with a "terms" list' % what)
+        raise DomainError('bad %s payload: expected an object with a "terms" list' % what)
     try:
         return cls.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("bad %s payload: %r" % (what, exc))
+        raise DomainError("bad %s payload: %r" % (what, exc))
 
 
 def _parse_window(text):
     try:
         lo, hi = (int(x) for x in text.split(","))
     except ValueError:
-        raise ValidationError("window must be LO,HI with integer bounds")
+        raise DomainError("window must be LO,HI with integer bounds")
     if lo > hi:
-        raise ValidationError("window must satisfy LO <= HI")
+        raise DomainError("window must satisfy LO <= HI")
     return lo, hi
 
 
@@ -62,13 +58,13 @@ def _parse_csv_ints(text, what):
     try:
         return [int(x) for x in text.split(",")] if text else []
     except ValueError:
-        raise ValidationError("%s must be a comma-separated integer list" % what)
+        raise DomainError("%s must be a comma-separated integer list" % what)
 
 
 def _require(args, names):
     for name in names:
-        if getattr(args, name, None) is None:
-            raise ValidationError("missing required option --%s" % name)
+        if getattr(args, name) is None:
+            raise DomainError("missing required option --%s" % name)
 
 
 def _bracket_json(el):
@@ -130,6 +126,8 @@ def _cmd_orbit(args):
         return (lambda: dict(orbit.to_json(), n=args.n, structure=st.to_json()),
                 lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
                          % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)])
+    if args.n is not None:
+        raise DomainError("--n is read by orbit structure only")
     _require(args, ("alpha", "beta"))
     orbit = orbit_of(args.alpha, args.beta)
     return (orbit.to_json,
@@ -155,7 +153,7 @@ def _fk_matrix(k):
 def _cmd_fk(args):
     k = args.k
     if k < 2:
-        raise ValidationError("--k must be >= 2 (F_k needs k >= 2)")
+        raise DomainError("--k must be >= 2 (F_k needs k >= 2)")
     mat = _fk_matrix(k)
     # the skew verdict and the sum are printed in every format
     if args.check_skew:
@@ -230,9 +228,9 @@ def _cmd_twist(args):
 
 def _cmd_independence(args):
     if args.kmin < 3:
-        raise ValidationError("--kmin must be >= 3 (delta_k needs k >= 3)")
+        raise DomainError("--kmin must be >= 3 (delta_k needs k >= 3)")
     if args.kmax < args.kmin:
-        raise ValidationError("--kmax must be >= --kmin")
+        raise DomainError("--kmax must be >= --kmin")
     ks = list(range(args.kmin, args.kmax + 1))
     deltas = [delta(k) for k in ks]
     rank, cols, rows = independence_rank(deltas, args.n)
@@ -270,21 +268,12 @@ class InternalInvariantError(Exception):
         self.text = text
 
 
-def _common_options(**defaults):
-    # an option left unset takes its value from `defaults`, or is not set
-    # at all, so that a nested subparser does not overwrite the value its
-    # parent level parsed
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv", "text"))
+def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", metavar="FILE")
     common.add_argument("--seed", type=int, help="accepted for harness "
                         "compatibility; all computation is deterministic")
-    common.set_defaults(**defaults)
-    return common
-
-
-def build_parser():
-    common = _common_options(format="text", output=None, seed=None)
 
     top = argparse.ArgumentParser(prog="barbell", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -322,15 +311,11 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", required=True, metavar="LO,HI")
 
-    orb = sub.add_parser("orbit", parents=[common], help="hexagon-group orbits")
-    orb.add_argument("--alpha", type=int)
-    orb.add_argument("--beta", type=int)
-    orb_sub = orb.add_subparsers(dest="action", required=False)
-    p = orb_sub.add_parser("structure", parents=[_common_options()],
-                           argument_default=argparse.SUPPRESS)
+    p = sub.add_parser("orbit", parents=[common], help="hexagon-group orbits")
+    p.add_argument("action", nargs="?", choices=("structure",))
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help="read by orbit structure only")
 
     hx = sub.add_parser("hex", help="hexagon-quotient normal forms")
     hx_sub = hx.add_subparsers(dest="action", required=True)
@@ -388,50 +373,35 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj):
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, built in
-    one direct pass.  It takes dicts with str keys, lists, tuples, str,
-    int, bool, None and HexNormalForm, written as the JSON object of its
-    orbits; anything else, a float included, is a TypeError.  A plain str
-    or int inside a container is appended to that container's pending
-    text, which is put out before each other child and at the close."""
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, in one
+    recursive walk with one branch per JSON type.  It takes dicts with
+    str keys, lists, tuples, str, int, bool, None and HexNormalForm,
+    written as the JSON object of its orbits; anything else, a float
+    included, is a TypeError."""
     out = []
     put = out.append
 
     def emit(o, pad):
-        # containers first: inside a container a plain str or int never gets here
-        if isinstance(o, dict):
-            inner, sep, text = pad + "  ", "{", ""
-            for key in sorted(o):  # _quote rejects a key that is not a str
-                v = o[key]
-                if type(v) is str:
-                    text += f"{sep}{inner}{_quote(key)}: {_quote(v)}"
-                elif type(v) is int:
-                    text += f"{sep}{inner}{_quote(key)}: {int.__repr__(v)}"
-                else:
-                    put(f"{text}{sep}{inner}{_quote(key)}: ")
-                    text = ""
-                    emit(v, inner)
-                sep = ","
-            put(text + (pad + "}" if o else "{}"))
-        elif isinstance(o, (list, tuple)):
-            inner, sep, text = pad + "  ", "[", ""
-            for v in o:
-                if type(v) is str:
-                    text += f"{sep}{inner}{_quote(v)}"
-                elif type(v) is int:
-                    text += f"{sep}{inner}{int.__repr__(v)}"
-                else:
-                    put(f"{text}{sep}{inner}")
-                    text = ""
-                    emit(v, inner)
-                sep = ","
-            put(text + (pad + "]" if o else "[]"))
-        elif isinstance(o, str):
+        if isinstance(o, str):
             put(_quote(o))
         elif o is None or o is True or o is False:
             put("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             put(int.__repr__(o))
+        elif isinstance(o, dict):
+            inner, sep = pad + "  ", "{"
+            for key in sorted(o):  # _quote rejects a key that is not a str
+                put(f"{sep}{inner}{_quote(key)}: ")
+                emit(o[key], inner)
+                sep = ","
+            put(pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            inner, sep = pad + "  ", "["
+            for v in o:
+                put(sep + inner)
+                emit(v, inner)
+                sep = ","
+            put(pad + "]" if o else "[]")
         elif isinstance(o, HexNormalForm):
             put(_normal_form_text(o, pad))
         else:
@@ -476,8 +446,8 @@ def _emit(args, rendered):
             with open(args.output, "w") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            raise ValidationError("cannot write --output %s: %s"
-                                  % (args.output, exc.strerror or exc))
+            raise DomainError("cannot write --output %s: %s"
+                              % (args.output, exc.strerror or exc))
     else:
         try:
             sys.stdout.write(rendered)
@@ -488,7 +458,7 @@ def _emit(args, rendered):
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-            raise ValidationError("cannot write stdout: %s" % (exc.strerror or exc))
+            raise DomainError("cannot write stdout: %s" % (exc.strerror or exc))
 
 
 def main(argv=None):
@@ -507,9 +477,9 @@ def main(argv=None):
 def _run(args):
     try:
         if args.format == "csv" and args.command != "fk":
-            raise ValidationError("CSV output is provided for the fk matrix only")
+            raise DomainError("CSV output is provided for the fk matrix only")
         if getattr(args, "n", None) is not None and args.n < 3:
-            raise ValidationError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
+            raise DomainError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
         _emit(args, _render(args, *_HANDLERS[args.command](args)))
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -517,7 +487,7 @@ def _run(args):
     except InternalInvariantError as exc:
         try:
             _emit(args, _render(args, exc.payload, exc.text))
-        except ValidationError as err:
+        except DomainError as err:
             print("error: %s" % err, file=sys.stderr)
         print("invariant violated: %s" % exc.name, file=sys.stderr)
         return 3

@@ -120,8 +120,8 @@ def orbit_relators(orbit, n):
         if key in seen:
             continue
         seen.add(key)
-        rows.append(list(key))
-    return IntMatrix.from_rows(rows, len(orbit.elements))
+        rows.append(key)
+    return IntMatrix(len(rows), len(orbit.elements), rows)
 
 
 def orbit_structure(orbit, n):

@@ -32,15 +32,6 @@ class IntMatrix:
             self.data = [list(r) for r in data]
 
     @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("need explicit column count for an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):

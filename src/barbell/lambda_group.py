@@ -146,7 +146,7 @@ def relator_matrix(ctx, lo, hi):
         row[idx[j]] += sgn
         if any(row):
             rows.append(row)
-    return IntMatrix.from_rows(rows, len(exps)), exps
+    return IntMatrix(len(rows), len(exps), rows), exps
 
 
 def lambda_structure(ctx, window):

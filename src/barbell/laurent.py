@@ -149,9 +149,6 @@ class LaurentPoly1(Terms):
     def monomial(cls, k, c=1):
         return cls({k: c})
 
-    def coeff(self, k):
-        return self.terms.get(k, 0)
-
     def bar(self):
         """The involution t^k -> t^(-k), extended Z-linearly."""
         return LaurentPoly1({-k: c for k, c in self.terms.items()})
@@ -199,9 +196,6 @@ class LaurentPoly2(Terms):
     @classmethod
     def monomial(cls, a, b, c=1):
         return cls({(a, b): c})
-
-    def coeff(self, a, b):
-        return self.terms.get((a, b), 0)
 
     def reindex(self, amap, sign=1):
         """Send each monomial (a, b) to amap(a, b), coefficients times sign."""

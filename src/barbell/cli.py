@@ -2,14 +2,14 @@
 
 Every subcommand is deterministic: identical argv yields byte-identical
 output.  JSON is the stable machine contract, text is for humans, and
-CSV is provided for the F_k matrix only.  Exit codes: 0 success, 2 a
-`DomainError`, the one validation error type, 3 a failed selfcheck
-invariant (its report, then `invariant violated: <name>` on stderr) or
-any other internal fault (one `internal error: <Type>: <message>` line
-on stderr, an AssertionError included).  Integers of any size are read
-and printed in full.  Handlers return zero-argument functions for the
-JSON payload and the text lines (and, for fk, the CSV rows), each called
-only for its own format.
+CSV is for the F_k matrix only.  Exit codes: 0 success or `--help`; 2 a
+`DomainError`, argument errors included (they name their parser:
+`barbell fk: ...`), as one `error: <message>` stderr line and no stdout;
+3 a failed selfcheck invariant (its report, then `invariant violated:
+<name>`) or any other internal fault, an AssertionError included (one
+`internal error: <Type>: <message>` line).  Integers of any size are
+read and printed in full.  Handlers return the JSON payload, the text
+lines and fk's CSV rows as functions, each called for its format only.
 """
 
 import argparse
@@ -27,19 +27,17 @@ from .laurent import LaurentPoly1, LaurentPoly2
 from .whitehead import derive_R_relators, facet_map, pair_bracket
 
 
-def _parse_json(text, what):
+def _load(cls, text, what):
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DomainError("bad %s JSON: %s" % (what, exc))
-
-
-def _load(cls, text, what):
-    obj = _parse_json(text, what)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms", []), list):
         raise DomainError('bad %s payload: expected an object with a "terms" list' % what)
     try:
         return cls.from_json(obj)
+    except DomainError as exc:
+        raise DomainError("bad %s payload: %s" % (what, exc))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError("bad %s payload: %r" % (what, exc))
 
@@ -59,12 +57,6 @@ def _parse_csv_ints(text, what):
         return [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise DomainError("%s must be a comma-separated integer list" % what)
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise DomainError("missing required option --%s" % name)
 
 
 def _bracket_json(el):
@@ -119,17 +111,14 @@ def _cmd_whitehead(args):
 
 
 def _cmd_orbit(args):
+    if (args.n is not None) != (args.action == "structure"):
+        raise DomainError("orbit structure needs --n, and plain orbit takes none")
+    orbit = orbit_of(args.alpha, args.beta)
     if args.action == "structure":
-        _require(args, ("alpha", "beta", "n"))
-        orbit = orbit_of(args.alpha, args.beta)
         st = orbit_structure(orbit, args.n)
         return (lambda: dict(orbit.to_json(), n=args.n, structure=st.to_json()),
                 lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
                          % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)])
-    if args.n is not None:
-        raise DomainError("--n is read by orbit structure only")
-    _require(args, ("alpha", "beta"))
-    orbit = orbit_of(args.alpha, args.beta)
     return (orbit.to_json,
             lambda: ["orbit of (%d, %d): %s, rep (%d, %d), elements %s"
                      % (args.alpha, args.beta, orbit.otype, orbit.rep[0], orbit.rep[1],
@@ -268,14 +257,20 @@ class InternalInvariantError(Exception):
         self.text = text
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors leave by the one exit-2 path; subparsers inherit this class
+    def error(self, message):
+        raise DomainError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", metavar="FILE")
     common.add_argument("--seed", type=int, help="accepted for harness "
                         "compatibility; all computation is deterministic")
 
-    top = argparse.ArgumentParser(prog="barbell", description=__doc__)
+    top = _Parser(prog="barbell", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     lam = sub.add_parser("lambda", help="circle-target quotient groups")
@@ -313,8 +308,8 @@ def build_parser():
 
     p = sub.add_parser("orbit", parents=[common], help="hexagon-group orbits")
     p.add_argument("action", nargs="?", choices=("structure",))
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--beta", type=int)
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, help="read by orbit structure only")
 
     hx = sub.add_parser("hex", help="hexagon-quotient normal forms")
@@ -468,27 +463,29 @@ def main(argv=None):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(argv)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
-def _run(args):
+def _run(argv):
     try:
+        args = build_parser().parse_args(argv)
         if args.format == "csv" and args.command != "fk":
             raise DomainError("CSV output is provided for the fk matrix only")
         if getattr(args, "n", None) is not None and args.n < 3:
             raise DomainError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
         _emit(args, _render(args, *_HANDLERS[args.command](args)))
     except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # one stderr line, even for a message with a line break in it
+        print("error: %s" % str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         try:
             _emit(args, _render(args, exc.payload, exc.text))
         except DomainError as err:
-            print("error: %s" % err, file=sys.stderr)
+            print("error: %s" % str(err).replace("\n", "\\n"), file=sys.stderr)
         print("invariant violated: %s" % exc.name, file=sys.stderr)
         return 3
     except Exception as exc:

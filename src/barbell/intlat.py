@@ -272,22 +272,18 @@ class IntegerRowSpan:
                     v = {k: -c for k, c in v.items()}
                 self.rows[j] = v
                 return
-            a, b = row[j], v[j]
-            if b % a == 0:
-                _subtract(v, b // a, row)
-            else:
-                # the Smith form's 2x2 transform on (row, v): gcd at the pivot
-                x, y, z, w = _gcd_step(a, b)
-                new_row, new_v = {}, {}
-                for k in set(row) | set(v):
-                    r, s = row.get(k, 0), v.get(k, 0)
-                    c, d = x * r + y * s, z * r + w * s
-                    if c:
-                        new_row[k] = c
-                    if d:
-                        new_v[k] = d
-                self.rows[j] = new_row
-                v = new_v
+            # the Smith form's 2x2 transform on (row, v): gcd at the pivot, 0 in v
+            x, y, z, w = _gcd_step(row[j], v[j])
+            new_row, new_v = {}, {}
+            for k in set(row) | set(v):
+                r, s = row.get(k, 0), v.get(k, 0)
+                c, d = x * r + y * s, z * r + w * s
+                if c:
+                    new_row[k] = c
+                if d:
+                    new_v[k] = d
+            self.rows[j] = new_row
+            v = new_v
 
     def contains(self, vec):
         v = dict(_nonzero(vec))

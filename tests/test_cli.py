@@ -1,6 +1,8 @@
 import collections
+import contextlib
 import enum
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -302,10 +304,29 @@ def test_validation_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+    # argparse's own errors take the same path, and a line break stays in the one line
+    for argv in (["fk", "--k", "x"], ["orbit", "bogus", "--alpha", "1"],
+                 ["orbit", "structure", "structure", "--alpha", "1"], ["orbit", "--alpha", "1"],
+                 ["delta", "--k", "4", "--bogus"], ["delta", "--k", "4", "a\nb"],
+                 ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "a\nb")],
+                 ["no-such-command"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert run_cli(capsys, ["fk"]) == (
+        2, "", "error: barbell fk: the following arguments are required: --k\n")
+    # a library DomainError in a payload reads as its message, not as its repr
+    for argv, what, msg in (
+            (["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": 0, "c": "1"}]}'],
+             "alpha combination", "alpha indices are positive"),
+            (["lambda", "reduce", "--w0", "1", "--n", "3", "--poly",
+              '{"terms": [{"e": true, "c": "1"}]}'],
+             "polynomial", "e must be an integer or a decimal string, got True")):
+        assert run_cli(capsys, argv) == (2, "", "error: bad %s payload: %s\n" % (what, msg))
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        main(["fk", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: barbell fk ")
 
 
 def _normal_form_json(nf):
@@ -451,6 +472,80 @@ def test_float_in_payload_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["delta", "--k", "4", "--format", "json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: TypeError: ") and err.count("\n") == 1
+
+
+_INT = st.integers(-4, 8).map(str)
+_JUNK = st.sampled_from(["x", "", "1.5", "--bogus", "a\nb"])
+_WINDOW = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map("%d,%d".__mod__)
+_CSV = st.lists(st.integers(-1, 1), max_size=5).map(lambda v: ",".join(map(str, v)))
+_BAD_PAYLOADS = ["not json", "[1]", '{"terms": {}}', '{"terms": [1]}', '{"terms": [{"c": "1"}]}',
+                 '{"terms": [{"e": 1.5, "e1": true, "i": -1, "c": "1"}]}']
+
+
+def _payload(*valid):
+    return st.just(json.dumps({"terms": list(valid)})) | st.sampled_from(_BAD_PAYLOADS)
+
+
+_POLY1 = _payload({"e": 2, "c": "3"}, {"e": -1, "c": "-1"})
+_POLY2 = _payload({"e1": 2, "e2": 1, "c": "4"}, {"e1": -1, "e2": -1, "c": "-5"})
+_ALPHA = _payload({"i": 4, "c": "1"}, {"i": 2, "c": "-3"})
+_FLAG = st.just(None)
+# each subcommand path with its options; a None value is a flag that takes none
+_PATHS = {
+    ("lambda", "reduce"): {"--w0": _INT, "--n": _INT, "--poly": _POLY1},
+    ("lambda", "structure"): {"--w0": _INT, "--n": _INT, "--window": _WINDOW},
+    ("cover", "apply"): {"--m": _INT, "--alpha": _ALPHA},
+    ("cover", "kernel"): {"--m": _INT, "--depth": _INT, "--alpha": _ALPHA},
+    ("whitehead", "facet"): {"--facet": st.sampled_from(["t1=0", "t1=t2", "t2=t3", "t3=1"]),
+                             "--alpha": _INT, "--beta": _INT, "--n": _INT, "--a1": _INT},
+    ("whitehead", "relators"): {"--n": _INT, "--window": _WINDOW},
+    ("orbit",): {"--alpha": _INT, "--beta": _INT, "--n": _INT},
+    ("orbit", "structure"): {"--alpha": _INT, "--beta": _INT, "--n": _INT},
+    ("hex", "reduce"): {"--n": _INT, "--poly": _POLY2},
+    ("hex", "change-basis"): {"--dir": st.sampled_from(["13to12", "12to13"]), "--poly": _POLY2},
+    ("fk",): {"--k": _INT, "--per-level": _FLAG, "--check-skew": _FLAG, "--sum": _FLAG},
+    ("delta",): {"--k": _INT, "--expand": _FLAG, "--w3": _FLAG, "--n": _INT},
+    ("twist",): {"--k": _INT, "--v": _CSV, "--w": _CSV},
+    ("independence",): {"--kmin": _INT, "--kmax": _INT, "--n": _INT},
+    # a passing selfcheck is slow: --kmax is always given, and never above 2
+    ("selfcheck",): {"--kmax": st.sampled_from(["-1", "0", "2"])},
+}
+_COMMON = {"--format": st.sampled_from(["json", "csv", "text"]), "--seed": _INT}
+
+
+@st.composite
+def _argvs(draw):
+    # mostly well-formed: an option left out, a junk value or a junk path is one in 10 or 20
+    path = draw(st.sampled_from(sorted(_PATHS)))
+    options = dict(_PATHS[path], **_COMMON)
+    names = draw(st.permutations([n for n in sorted(options) if draw(st.integers(0, 9))]))
+    if path == ("selfcheck",) and "--kmax" not in names:
+        names.append("--kmax")
+    argv = list(path) if draw(st.integers(0, 19)) else [draw(_JUNK | st.just("bogus"))]
+    for name in names:
+        value = draw(options[name] if draw(st.integers(0, 19)) else _JUNK)
+        if value is None:
+            argv.append(name)
+        else:  # `--window -3,2` is an error that `--window=-3,2` is not
+            argv += ["%s=%s" % (name, value)] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.sampled_from([0] * 8 + [1, 2]))):  # junk, or the action again
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK | st.just(path[-1])))
+    return argv
+
+
+@PROPERTY
+@given(_argvs())
+def test_exit_codes_of_any_argv(argv):
+    # argv alone never gives exit 3; exit 2 is one error line and no output
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv
 
 
 # each orbit shape and coords length (1, 4 and 7), negative and huge values

@@ -38,8 +38,6 @@ def _load(cls, text, what):
         return cls.from_json(obj)
     except DomainError as exc:
         raise DomainError("bad %s payload: %s" % (what, exc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError("bad %s payload: %r" % (what, exc))
 
 
 def _parse_window(text):
@@ -79,7 +77,7 @@ def _cmd_lambda(args):
                 lambda: ["normal form: %r" % nf])
     lo, hi = _parse_window(args.window)
     st = lambda_structure(ctx, (lo, hi))
-    return (lambda: {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi], "structure": st.to_json()},
+    return (lambda: {"w0": ctx.w0, "n": ctx.n, "window": [lo, hi], "structure": st._asdict()},
             lambda: ["structure on window [%d, %d]: %r" % (lo, hi, st)])
 
 
@@ -116,10 +114,10 @@ def _cmd_orbit(args):
     orbit = orbit_of(args.alpha, args.beta)
     if args.action == "structure":
         st = orbit_structure(orbit, args.n)
-        return (lambda: dict(orbit.to_json(), n=args.n, structure=st.to_json()),
+        return (lambda: dict(orbit._asdict(), n=args.n, structure=st._asdict()),
                 lambda: ["orbit of (%d, %d): %s, %d elements, structure %r"
                          % (args.alpha, args.beta, orbit.otype, len(orbit.elements), st)])
-    return (orbit.to_json,
+    return (orbit._asdict,
             lambda: ["orbit of (%d, %d): %s, rep (%d, %d), elements %s"
                      % (args.alpha, args.beta, orbit.otype, orbit.rep[0], orbit.rep[1],
                         list(orbit.elements))])
@@ -469,6 +467,11 @@ def main(argv=None):
             sys.set_int_max_str_digits(limit)
 
 
+def _print_error(exc):
+    # one stderr line, even for a message with a line break in it
+    print("error: %s" % str(exc).replace("\n", "\\n"), file=sys.stderr)
+
+
 def _run(argv):
     try:
         args = build_parser().parse_args(argv)
@@ -478,14 +481,13 @@ def _run(argv):
             raise DomainError("--n must be >= 3 (the paper's S^1 x B^n needs n >= 3)")
         _emit(args, _render(args, *_HANDLERS[args.command](args)))
     except DomainError as exc:
-        # one stderr line, even for a message with a line break in it
-        print("error: %s" % str(exc).replace("\n", "\\n"), file=sys.stderr)
+        _print_error(exc)
         return 2
     except InternalInvariantError as exc:
         try:
             _emit(args, _render(args, exc.payload, exc.text))
         except DomainError as err:
-            print("error: %s" % str(err).replace("\n", "\\n"), file=sys.stderr)
+            _print_error(err)
         print("invariant violated: %s" % exc.name, file=sys.stderr)
         return 3
     except Exception as exc:

@@ -19,6 +19,8 @@ representative whose stabilizer is fixed by the orbit's shape, so each
 orbit's Smith form depends only on its shape and n mod 2.
 """
 
+from collections import namedtuple
+
 from . import check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure, smith_normal_form
 from .laurent import AffineMap2, LaurentPoly2
@@ -33,31 +35,9 @@ def on_degenerate_line(a, b):
     return a + b == 0 or a - b == 0 or a == 0 or b == 0 or 2 * a == b or 2 * b == a
 
 
-class HexOrbit:
-    """One dihedral orbit in Z^2 with a deterministic element order."""
-
-    __slots__ = ("rep", "elements", "otype")
-
-    def __init__(self, rep, elements, otype):
-        self.rep = rep
-        self.elements = elements
-        self.otype = otype
-
-    def index(self):
-        return {v: i for i, v in enumerate(self.elements)}
-
-    def __eq__(self, other):
-        return isinstance(other, HexOrbit) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __repr__(self):
-        return "HexOrbit(rep=%r, size=%d, otype=%s)" % (self.rep, len(self.elements), self.otype)
-
-    def to_json(self):
-        return {"rep": list(self.rep), "otype": self.otype,
-                "elements": [list(v) for v in self.elements]}
+# one dihedral orbit in Z^2: its least point, its elements in a fixed
+# order and its type, "origin", "six" or "twelve"
+HexOrbit = namedtuple("HexOrbit", "rep elements otype")
 
 
 def _ring(a, b):
@@ -105,7 +85,7 @@ def orbit_relators(orbit, n):
     Rows are deduplicated up to sign and zero rows dropped; columns are
     indexed by the orbit's canonical element order.
     """
-    idx = orbit.index()
+    idx = {v: i for i, v in enumerate(orbit.elements)}
     rows = []
     seen = set()
     for p, q in orbit.elements:

@@ -15,6 +15,8 @@ The row span takes rows as {column: int} dicts or dense lists, and keeps
 them sparse.
 """
 
+from collections import namedtuple
+
 
 class IntMatrix:
     """Dense integer matrix; rows and cols survive even when empty."""
@@ -65,28 +67,19 @@ class IntMatrix:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
 
-class QuotientStructure:
+class QuotientStructure(namedtuple("QuotientStructure", "free_rank torsion")):
     """Finitely generated abelian group: free rank plus invariant factors."""
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ()
 
-    def __init__(self, free_rank, torsion=()):
+    def __new__(cls, free_rank, torsion=()):
         torsion = tuple(torsion)
         if any(t < 2 for t in torsion):
             raise ValueError("torsion factors must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        self.free_rank = free_rank
-        self.torsion = torsion
-
-    def __eq__(self, other):
-        return (isinstance(other, QuotientStructure)
-                and self.free_rank == other.free_rank
-                and self.torsion == other.torsion)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
+        return super().__new__(cls, free_rank, torsion)
 
     def __repr__(self):
         parts = []
@@ -94,9 +87,6 @@ class QuotientStructure:
             parts.append("Z^%d" % self.free_rank)
         parts.extend("Z_%d" % t for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
 def _pivot_search(a, t, rows, cols):

@@ -15,20 +15,21 @@ integer exponent that was not killed, that monomial carries a single
 For arcs the target is simply Z[t^{+-1}] / <t^0>.
 """
 
+from collections import namedtuple
+
 from . import DomainError, check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure
 from .laurent import LaurentPoly1, Terms
 
 
-class LambdaContext:
+class LambdaContext(namedtuple("LambdaContext", "w0 n")):
     """Parameters (W0, n) selecting one of the quotient groups."""
 
-    __slots__ = ("w0", "n")
+    __slots__ = ()
 
-    def __init__(self, w0, n):
+    def __new__(cls, w0, n):
         check_sphere_dimension(n)
-        self.w0 = w0
-        self.n = n
+        return super().__new__(cls, w0, n)
 
     @property
     def killed(self):
@@ -42,13 +43,6 @@ class LambdaContext:
         if (self.w0 - 1) % 2:
             return False
         return (self.w0 - 1) // 2 not in self.killed
-
-    def __eq__(self, other):
-        return (isinstance(other, LambdaContext)
-                and self.w0 == other.w0 and self.n == other.n)
-
-    def __repr__(self):
-        return "LambdaContext(w0=%d, n=%d)" % (self.w0, self.n)
 
 
 class LambdaElement:

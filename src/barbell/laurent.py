@@ -8,6 +8,7 @@ invertible variables (t1, t2).
 """
 
 import re
+from collections import namedtuple
 from itertools import chain
 
 from . import DomainError
@@ -17,8 +18,11 @@ _END = object()  # closes the last run in Terms.sum
 
 
 def json_int(term, key):
-    """term[key] of a JSON payload: an integer, or a decimal string of an
-    optional "-" and ASCII digits only; never bool, float, "+1", "1_0" or " 1"."""
+    """term[key] of a JSON payload term, an object that must hold key: an
+    integer, or a decimal string of an optional "-" and ASCII digits only;
+    never bool, float, "+1", "1_0" or " 1"."""
+    if not isinstance(term, dict) or key not in term:
+        raise DomainError("each term must be an object with an integer %s" % key)
     value = term[key]
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
@@ -154,17 +158,16 @@ class LaurentPoly1(Terms):
         return LaurentPoly1({-k: c for k, c in self.terms.items()})
 
 
-class AffineMap2:
+class AffineMap2(namedtuple("AffineMap2", "m b")):
     """Affine map Z^2 -> Z^2, x -> M.x + b, with M integer-invertible."""
 
-    __slots__ = ("m", "b")
+    __slots__ = ()
 
-    def __init__(self, m, b=(0, 0)):
+    def __new__(cls, m, b=(0, 0)):
         a11, a12, a21, a22 = m
         if a11 * a22 - a12 * a21 not in (1, -1):
             raise ValueError("map is not invertible over the integers")
-        self.m = (a11, a12, a21, a22)
-        self.b = (b[0], b[1])
+        return super().__new__(cls, (a11, a12, a21, a22), (b[0], b[1]))
 
     def apply(self, x, y):
         a11, a12, a21, a22 = self.m
@@ -178,12 +181,6 @@ class AffineMap2:
         bx = -(i11 * self.b[0] + i12 * self.b[1])
         by = -(i21 * self.b[0] + i22 * self.b[1])
         return AffineMap2((i11, i12, i21, i22), (bx, by))
-
-    def __eq__(self, other):
-        return isinstance(other, AffineMap2) and self.m == other.m and self.b == other.b
-
-    def __repr__(self):
-        return "AffineMap2(%r, %r)" % (self.m, self.b)
 
 
 class LaurentPoly2(Terms):

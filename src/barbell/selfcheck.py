@@ -228,7 +228,7 @@ def check_relator_family_equivalence(kmax):
             raise CheckFailure("orbit sets differ at n=%d" % n)
         for rep in derived:
             orbit = orbit_of(*rep)
-            idx = orbit.index()
+            idx = {v: i for i, v in enumerate(orbit.elements)}
             spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
                                     for poly in fam) for fam in (derived[rep], hard[rep])]
             if not spans[0].equals(spans[1]):
@@ -296,7 +296,7 @@ def check_normal_form_soundness(kmax):
             member = True
             for rep, monos in by_orbit.items():
                 orbit = orbit_of(*rep)
-                idx = orbit.index()
+                idx = {v: i for i, v in enumerate(orbit.elements)}
                 span = IntegerRowSpan(orbit_relators(orbit, n).data)
                 vec = [0] * len(orbit.elements)
                 for mono, c in monos.items():

@@ -177,7 +177,7 @@ def test_criterion_11_facet_computations():
         assert set(derived) == set(hard)
         for rep, polys in derived.items():
             orbit = orbit_of(*rep)
-            idx = orbit.index()
+            idx = {v: i for i, v in enumerate(orbit.elements)}
             spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
                                     for poly in fam) for fam in (polys, hard[rep])]
             assert spans[0].equals(spans[1]), (n, rep)

@@ -321,7 +321,14 @@ def test_validation_exit_codes(capsys, tmp_path):
              "alpha combination", "alpha indices are positive"),
             (["lambda", "reduce", "--w0", "1", "--n", "3", "--poly",
               '{"terms": [{"e": true, "c": "1"}]}'],
-             "polynomial", "e must be an integer or a decimal string, got True")):
+             "polynomial", "e must be an integer or a decimal string, got True"),
+            # a term that is not an object, or lacks a key, names the key
+            (hex_reduce + ['{"terms": [1]}'], "polynomial",
+             "each term must be an object with an integer e1"),
+            (hex_reduce + ['{"terms": ["x"]}'], "polynomial",
+             "each term must be an object with an integer e1"),
+            (hex_reduce + ['{"terms": [{"e1": 0, "c": "1"}]}'], "polynomial",
+             "each term must be an object with an integer e2")):
         assert run_cli(capsys, argv) == (2, "", "error: bad %s payload: %s\n" % (what, msg))
     with pytest.raises(SystemExit) as exc:
         main(["fk", "--help"])
@@ -544,6 +551,7 @@ def test_exit_codes_of_any_argv(argv):
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Error(" not in err, (argv, err)  # a message, never an exception's repr
     else:
         assert err == "", argv
 

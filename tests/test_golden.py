@@ -125,6 +125,9 @@ GOLDEN = [
     # a W3 normal form at even n, written by the orbit template
     (["delta", "--k", "9", "--w3", "--n", "4", "--format", "json"],
      "1db6102459ded1b3f9f5796ff7962556ddf3805aa033055716c05e622d9f2221"),
+    # the quotient structure as JSON: free rank and the torsion list
+    (["lambda", "structure", "--w0", "5", "--n", "4", "--window=-20,20", "--format", "json"],
+     "13f76ec29e258b7e636a7249a56e1fbff4d52336c4221c0478fd423c64c70c3b"),
 ]
 
 

@@ -72,8 +72,9 @@ def _cmd_lambda(args):
     if args.action == "reduce":
         poly = _load(LaurentPoly1, args.poly, "polynomial")
         nf = lambda_reduce(poly, ctx)
-        return (lambda: {"w0": ctx.w0, "n": ctx.n, "normal_form": nf.to_json(),
-                         "is_zero": nf.is_zero()},
+        return (lambda: {"w0": ctx.w0, "n": ctx.n, "is_zero": nf.is_zero(),
+                         "normal_form": {"free_part": nf.free_part.to_json(),
+                                         "torsion_bit": nf.torsion_bit}},
                 lambda: ["normal form: %r" % nf])
     lo, hi = _parse_window(args.window)
     st = lambda_structure(ctx, (lo, hi))

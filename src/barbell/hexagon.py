@@ -23,11 +23,16 @@ from collections import namedtuple
 
 from . import check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure, smith_normal_form
-from .laurent import AffineMap2, LaurentPoly2
+from .laurent import LaurentPoly2
 
-# r and s as maps: the independent reference the closed-form orbits are checked against
-R_MAP = AffineMap2((1, -1, 1, 0))
-S_MAP = AffineMap2((0, -1, -1, 0))
+
+# r and s pointwise, the independent reference the closed-form orbits are checked against
+def r_map(a, b):
+    return (a - b, a)
+
+
+def s_map(a, b):
+    return (-b, -a)
 
 
 def on_degenerate_line(a, b):
@@ -207,10 +212,7 @@ def hex_normal_form(poly, n):
 # The exponent map is an involution; the constant -1 is forced by
 # [w13,w23] = -[w12,w23] in the Whitehead algebra.  Any residual global
 # sign convention is invisible to rank and vanishing statements.
-_CHART = AffineMap2((1, -1, 0, -1))
-
-
 def basis_change_12_to_13(poly):
     """From t1^m t3^v [w12,w23] coordinates to t1^p t2^q [w13,w23], and
     back: the chart change is an involution, so it is its own inverse."""
-    return poly.reindex(_CHART, -1)
+    return LaurentPoly2(((m - v, -v), -c) for (m, v), c in poly.terms.items())

@@ -81,6 +81,8 @@ class QuotientStructure(namedtuple("QuotientStructure", "free_rank torsion")):
                 raise ValueError("invariant factors must form a divisibility chain")
         return super().__new__(cls, free_rank, torsion)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace runs the checks too
+
     def __repr__(self):
         parts = []
         if self.free_rank:

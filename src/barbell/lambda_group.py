@@ -31,6 +31,8 @@ class LambdaContext(namedtuple("LambdaContext", "w0 n")):
         check_sphere_dimension(n)
         return super().__new__(cls, w0, n)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace runs the check too
+
     @property
     def killed(self):
         return {-1, 0, self.w0, self.w0 - 1}
@@ -87,10 +89,6 @@ class LambdaElement:
             f = (self.ctx.w0 - 1) // 2
             s += ("+" if s else "") + "[t^%d mod 2]" % f
         return s
-
-    def to_json(self):
-        return {"free_part": self.free_part.to_json(),
-                "torsion_bit": self.torsion_bit}
 
 
 def lambda_reduce(p, ctx):

@@ -8,7 +8,6 @@ invertible variables (t1, t2).
 """
 
 import re
-from collections import namedtuple
 from itertools import chain
 
 from . import DomainError
@@ -158,31 +157,6 @@ class LaurentPoly1(Terms):
         return LaurentPoly1({-k: c for k, c in self.terms.items()})
 
 
-class AffineMap2(namedtuple("AffineMap2", "m b")):
-    """Affine map Z^2 -> Z^2, x -> M.x + b, with M integer-invertible."""
-
-    __slots__ = ()
-
-    def __new__(cls, m, b=(0, 0)):
-        a11, a12, a21, a22 = m
-        if a11 * a22 - a12 * a21 not in (1, -1):
-            raise ValueError("map is not invertible over the integers")
-        return super().__new__(cls, (a11, a12, a21, a22), (b[0], b[1]))
-
-    def apply(self, x, y):
-        a11, a12, a21, a22 = self.m
-        return (a11 * x + a12 * y + self.b[0], a21 * x + a22 * y + self.b[1])
-
-    def inverse(self):
-        a11, a12, a21, a22 = self.m
-        det = a11 * a22 - a12 * a21
-        # adjugate over det; det is +-1 so entries stay integral
-        i11, i12, i21, i22 = a22 * det, -a12 * det, -a21 * det, a11 * det
-        bx = -(i11 * self.b[0] + i12 * self.b[1])
-        by = -(i21 * self.b[0] + i22 * self.b[1])
-        return AffineMap2((i11, i12, i21, i22), (bx, by))
-
-
 class LaurentPoly2(Terms):
     """Integer Laurent polynomial in two commuting invertible variables."""
 
@@ -194,8 +168,3 @@ class LaurentPoly2(Terms):
     def monomial(cls, a, b, c=1):
         return cls({(a, b): c})
 
-    def reindex(self, amap, sign=1):
-        """Send each monomial (a, b) to amap(a, b), coefficients times sign."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return LaurentPoly2((amap.apply(a, b), sign * c) for (a, b), c in self.terms.items())

@@ -2,24 +2,24 @@ import random
 
 import barbell.hexagon as hexagon
 from barbell.classes import delta, w3
-from barbell.hexagon import (R_MAP, S_MAP, basis_change_12_to_13, hex_normal_form,
-                             k_relator, on_degenerate_line, orbit_of, orbit_relators,
-                             orbit_structure)
+from barbell.hexagon import (basis_change_12_to_13, hex_normal_form, k_relator,
+                             on_degenerate_line, orbit_of, orbit_relators, orbit_structure,
+                             r_map, s_map)
 from barbell.intlat import (IntegerRowSpan, IntMatrix, QuotientStructure, cokernel_structure,
                             smith_normal_form)
 from barbell.laurent import LaurentPoly2
 
 
 def bfs_orbit(a, b):
-    """Reference orbit: closure of (a, b) under R_MAP and S_MAP, then the
+    """Reference orbit: closure of (a, b) under r_map and s_map, then the
     documented order (r^0..r^5 of the least point, then their s-images)."""
     pts = {(a, b)}
     frontier = [(a, b)]
     while frontier:
         nxt = []
         for v in frontier:
-            for m in (R_MAP, S_MAP):
-                w = m.apply(*v)
+            for m in (r_map, s_map):
+                w = m(*v)
                 if w not in pts:
                     pts.add(w)
                     nxt.append(w)
@@ -30,9 +30,9 @@ def bfs_orbit(a, b):
     for _ in range(6):
         if v not in order:
             order.append(v)
-        v = R_MAP.apply(*v)
+        v = r_map(*v)
     for u in list(order):
-        w = S_MAP.apply(*u)
+        w = s_map(*u)
         if w not in order:
             order.append(w)
     assert len(order) == len(pts)
@@ -87,11 +87,10 @@ def test_orbit_partition_and_group_relations():
         v = (rng.randrange(-25, 26), rng.randrange(-25, 26))
         w = v
         for _ in range(6):
-            w = R_MAP.apply(*w)
+            w = r_map(*w)
         assert w == v
-        assert S_MAP.apply(*S_MAP.apply(*v)) == v
-        assert (S_MAP.apply(*R_MAP.apply(*S_MAP.apply(*v)))
-                == R_MAP.inverse().apply(*v))
+        assert s_map(*s_map(*v)) == v
+        assert r_map(*s_map(*r_map(*s_map(*v)))) == v  # s r s = r^-1
     for _ in range(50):
         a = (rng.randrange(-7, 8), rng.randrange(-7, 8))
         b = (rng.randrange(-7, 8), rng.randrange(-7, 8))

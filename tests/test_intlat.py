@@ -328,3 +328,14 @@ def test_quotient_structure_validation():
     with pytest.raises(ValueError):
         QuotientStructure(0, (1,))
     assert repr(QuotientStructure(3, (2,))) == "Z^3 + Z_2"
+
+
+def test_records_check_their_fields_in_make_and_replace():
+    with pytest.raises(ValueError):
+        QuotientStructure._make([0, (1,)])
+    with pytest.raises(ValueError):
+        QuotientStructure(2, (2,))._replace(torsion=(3, 2))
+    with pytest.raises(barbell.DomainError):
+        LambdaContext(3, 4)._replace(n=2)
+    assert QuotientStructure(2, (2,))._replace(free_rank=3) == QuotientStructure(3, (2,))
+    assert LambdaContext._make([5, 4]) == LambdaContext(5, 4)

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from barbell.classes import GClass
 from barbell.lambda_group import AlphaCombination
-from barbell.laurent import AffineMap2, LaurentPoly1, LaurentPoly2, json_int
-
-R = AffineMap2((1, -1, 1, 0))   # (a, b) -> (a - b, a)
-S = AffineMap2((0, -1, -1, 0))  # (a, b) -> (-b, -a)
+from barbell.laurent import LaurentPoly1, LaurentPoly2, json_int
 
 
 def rand1(rng):
@@ -44,37 +41,6 @@ def test_bar_examples():
     assert LaurentPoly1.monomial(0).bar() == LaurentPoly1.monomial(0)
     p = LaurentPoly1({1: 2, -2: -1})
     assert p.bar() == LaurentPoly1({-1: 2, 2: -1})
-
-
-def test_reindex_examples():
-    m = LaurentPoly2.monomial(1, 0)
-    assert m.reindex(R) == LaurentPoly2.monomial(1, 1)
-    assert m.reindex(S) == LaurentPoly2.monomial(0, -1)
-
-
-def test_r_has_order_six():
-    rng = random.Random(11)
-    for _ in range(25):
-        p = LaurentPoly2({(rng.randrange(-8, 9), rng.randrange(-8, 9)): rng.randrange(-5, 6)
-                          for _ in range(4)})
-        q = p
-        for _ in range(6):
-            q = q.reindex(R)
-        assert q == p
-
-
-def test_reindex_rejects_singular_map():
-    with pytest.raises(ValueError):
-        AffineMap2((2, 0, 0, 1))
-
-
-def test_reindex_inverse_roundtrip():
-    rng = random.Random(5)
-    amap = AffineMap2((1, 2, 0, 1), (3, -4))
-    for _ in range(20):
-        p = LaurentPoly2({(rng.randrange(-6, 7), rng.randrange(-6, 7)): rng.randrange(-5, 6)
-                          for _ in range(5)})
-        assert p.reindex(amap, -1).reindex(amap.inverse(), -1) == p
 
 
 def test_add_associative_commutative_random():

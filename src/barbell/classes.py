@@ -98,17 +98,10 @@ def _form_class(form, p, q):
     return GClass.zero() if form is None else roman(form, p, q)
 
 
-def f_level(k, level, p, q):
-    """Level-L entry of the factored family, by the per-level case table."""
-    _check_fk_args(k, p, q)
-    if not 1 <= level <= k - 1:
-        raise DomainError("need 1 <= L <= k-1")
-    return _form_class(_level_form(k, level, p, q), p, q)
-
-
 def f_levels(k, p, q):
-    """(f_level(k, L, p, q) for L = 1..k-1), one class built per distinct
-    case: levels in the same case share one GClass object."""
+    """The level-L entries of the factored family for L = 1..k-1, by the
+    per-level case table, one class built per distinct case: levels in the
+    same case share one GClass object."""
     _check_fk_args(k, p, q)
     forms = [_level_form(k, level, p, q) for level in range(1, k)]
     built = {form: _form_class(form, p, q) for form in dict.fromkeys(forms)}
@@ -125,7 +118,7 @@ def _f_closed(k, p, q, c):
 
 
 def f_closed(k, p, q):
-    """Closed form of F_k(p,q), the sum of f_level over all levels."""
+    """Closed form of F_k(p,q), the sum of its f_levels entries."""
     _check_fk_args(k, p, q)
     return GClass(_f_closed(k, p, q, 1))
 

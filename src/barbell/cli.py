@@ -24,7 +24,7 @@ from .hexagon import (HexNormalForm, basis_change_12_to_13, hex_normal_form, orb
 from .lambda_group import (AlphaCombination, LambdaContext, cover_kernel_iterate,
                            cover_pullback, lambda_reduce, lambda_structure)
 from .laurent import LaurentPoly1, LaurentPoly2
-from .whitehead import derive_R_relators, facet_map, pair_bracket
+from .whitehead import FACETS, derive_R_relators, facet_map, pair_bracket
 
 
 def _load(cls, text, what):
@@ -296,7 +296,7 @@ def build_parser():
     wh = sub.add_parser("whitehead", help="bracket facets and derived relators")
     wh_sub = wh.add_subparsers(dest="action", required=True)
     p = wh_sub.add_parser("facet", parents=[common])
-    p.add_argument("--facet", required=True, choices=("t1=0", "t1=t2", "t2=t3", "t3=1"))
+    p.add_argument("--facet", required=True, choices=FACETS)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from . import DomainError, check_sphere_dimension
 from .intlat import IntMatrix, QuotientStructure
-from .laurent import LaurentPoly1, Terms
+from .laurent import LaurentPoly1, Terms, term_items
 
 
 class LambdaContext(namedtuple("LambdaContext", "w0 n")):
@@ -195,7 +195,7 @@ class AlphaCombination(Terms):
     TERM = "%+d*a%d"
 
     def __init__(self, terms=None):
-        terms = list(terms.items() if isinstance(terms, dict) else terms or ())
+        terms = list(term_items(terms))
         if any(i < 1 for i, _ in terms):
             raise DomainError("alpha indices are positive")
         Terms.__init__(self, terms)

@@ -30,17 +30,21 @@ def json_int(term, key):
     return value
 
 
+def term_items(terms):
+    """The (key, coeff) pairs of a dict, of an iterable of such pairs, or of
+    None (no pairs)."""
+    return terms.items() if isinstance(terms, dict) else terms or ()
+
+
 def combine(terms):
-    """key -> summed coeff of a dict or an iterable of (key, coeff) pairs,
-    with no zero stored."""
+    """key -> summed coeff of term_items(terms), with no zero stored."""
     d = {}
-    if terms:
-        for k, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = d.get(k, 0) + c
-            if c:
-                d[k] = c
-            else:
-                d.pop(k, None)
+    for k, c in term_items(terms):
+        c = d.get(k, 0) + c
+        if c:
+            d[k] = c
+        else:
+            d.pop(k, None)
     return d
 
 

@@ -17,14 +17,15 @@ on index-disjoint products.  The canonical degree-(2n-1) basis is
                                              via the trivial t1t2t3 action)
     t_i^c [w_ij, t_i^l w_ij], i < j         ("pair" part; l >= 1 for n
                                              odd, l >= 0 for n even)
+
+The constructors of DegNElem (keys with i < j) and BracketElem (the basis
+above) put every key they are given in that canonical form.
 """
 
 from itertools import chain
 
 from . import DomainError, check_sphere_dimension
-from .laurent import LaurentPoly2, combine
-
-_FACETS = ("t1=0", "t1=t2", "t2=t3", "t3=1")
+from .laurent import LaurentPoly2, combine, term_items
 
 # Reduction of a plain one-shared-index bracket to the [w12,w23] generator,
 # derived from the flip/swap/cyclic relations above, e.g.
@@ -45,23 +46,24 @@ def _parity_sign(n):
     return -1 if n % 2 else 1
 
 
-class DegNElem:
-    """Integer combination of canonical degree-n generators t_i^a w_ij."""
+class _Elem:
+    """Module arithmetic of the element types.  Each names its key -> coeff
+    dicts in PARTS, its constructor's arguments after n, and the constructor
+    puts every key in canonical form, so equality is structural."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
-    def __init__(self, n, terms=None):
-        check_sphere_dimension(n)
-        self.n = n
-        self.terms = combine(terms)
+    def _dicts(self):
+        return [getattr(self, part) for part in self.PARTS]
 
     def is_zero(self):
-        return not self.terms
+        return not any(self._dicts())
 
     def add(self, other):
         if self.n != other.n:
             raise ValueError("mismatched sphere dimension")
-        return DegNElem(self.n, chain(self.terms.items(), other.terms.items()))
+        return type(self)(self.n, *[chain(d.items(), e.items())
+                                    for d, e in zip(self._dicts(), other._dicts())])
 
     __add__ = add
 
@@ -69,78 +71,85 @@ class DegNElem:
         return self.add(other.scale(-1))
 
     def scale(self, a):
-        return DegNElem(self.n, [(k, a * c) for k, c in self.terms.items()])
+        return type(self)(self.n, *[[(k, a * c) for k, c in d.items()]
+                                    for d in self._dicts()])
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self._dicts() == other._dicts())
+
+
+class DegNElem(_Elem):
+    """Integer combination of canonical degree-n generators t_i^a w_ij.
+
+    terms: (i, j, a) -> coeff; a key with i > j is rewritten by
+    w_ji = (-1)^(n+1) w_ij, and w_ii = 0 is dropped.
+    """
+
+    __slots__ = ("terms",)
+    PARTS = ("terms",)
+
+    def __init__(self, n, terms=None):
+        check_sphere_dimension(n)
+        self.n = n
+        flip = -_parity_sign(n)  # w_ji = (-1)^(n+1) w_ij
+        canonical = []
+        for (i, j, a), c in term_items(terms):
+            if not (1 <= i <= 3 and 1 <= j <= 3):
+                raise DomainError("point indices must lie in {1,2,3}")
+            if i < j:
+                canonical.append(((i, j, a), c))
+            elif i > j:
+                canonical.append(((j, i, -a), flip * c))
+        self.terms = combine(canonical)
 
     def act(self, exps):
         """Apply the group-ring monomial t1^e1 t2^e2 t3^e3."""
         return DegNElem(self.n, [((i, j, a + exps[i - 1] - exps[j - 1]), c)
                                  for (i, j, a), c in self.terms.items()])
 
-    def __eq__(self, other):
-        return (isinstance(other, DegNElem) and self.n == other.n
-                and self.terms == other.terms)
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
         return "".join("%+d*t%d^%d.w%d%d" % (c, i, a, i, j)
-                       for (i, j, a), c in sorted(self.terms.items()))
+                       for (i, j, a), c in sorted(self.terms.items())) or "0"
 
 
 def deg_n_gen(i, j, exps=(0, 0, 0), n=3, coeff=1):
     """Normalize coeff * (t1^e1 t2^e2 t3^e3 . w_ij) to the canonical basis."""
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise DomainError("point indices must lie in {1,2,3}")
-    if i == j or coeff == 0:
-        return DegNElem(n)
-    a = exps[i - 1] - exps[j - 1]
-    if i > j:
-        i, j, a = j, i, -a
-        if n % 2 == 0:
-            coeff = -coeff  # w_ji = (-1)^(n+1) w_ij
-    return DegNElem(n, {(i, j, a): coeff})
+    return DegNElem(n, {(i, j, 0): coeff}).act(exps)
 
 
-class BracketElem:
+class BracketElem(_Elem):
     """Degree-(2n-1) class in the canonical triple + pair basis.
 
     triple: (a, b) -> coeff   for t1^a t3^b [w12, w23]
-    pairs:  (i, j, c, l) -> coeff   for t_i^c [w_ij, t_i^l w_ij]
+    pairs:  (i, j, c, l) -> coeff   for t_i^c [w_ij, t_i^l w_ij]; l < 0
+            folds by one graded swap [f,g] = (-1)^n [g,f], and l = 0 is
+            dropped at odd n, where [x, x] is 2-torsion, zero rationally
     """
 
-    __slots__ = ("n", "triple", "pairs")
+    __slots__ = ("triple", "pairs")
+    PARTS = ("triple", "pairs")
 
     def __init__(self, n, triple=None, pairs=None):
         check_sphere_dimension(n)
         self.n = n
         self.triple = combine(triple)
-        self.pairs = combine(pairs)
-
-    def is_zero(self):
-        return not self.triple and not self.pairs
-
-    def add(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched sphere dimension")
-        return BracketElem(self.n, chain(self.triple.items(), other.triple.items()),
-                           chain(self.pairs.items(), other.pairs.items()))
-
-    __add__ = add
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, a):
-        return BracketElem(self.n, [(k, a * c) for k, c in self.triple.items()],
-                           [(k, a * c) for k, c in self.pairs.items()])
+        sign = _parity_sign(n)
+        canonical = []
+        for (i, j, c0, l), c in term_items(pairs):
+            if l < 0:
+                c0, l, c = c0 + l, -l, sign * c
+            if l or n % 2 == 0:
+                canonical.append(((i, j, c0, l), c))
+        self.pairs = combine(canonical)
 
     def act(self, exps):
         e1, e2, e3 = exps
         return BracketElem(
             self.n,
             [((a + e1 - e2, b + e3 - e2), c) for (a, b), c in self.triple.items()],
-            _pair_terms(self.n, [(i, j, c0 + exps[i - 1] - exps[j - 1], l, c)
-                                 for (i, j, c0, l), c in self.pairs.items()]))
+            [((i, j, c0 + exps[i - 1] - exps[j - 1], l), c)
+             for (i, j, c0, l), c in self.pairs.items()])
 
     def drop_edge_pairs(self):
         """Forget pair terms on (1,2) and (2,3).
@@ -155,30 +164,12 @@ class BracketElem:
         """Triple part as a Laurent polynomial in the (t1, t3) chart."""
         return LaurentPoly2(dict(self.triple))
 
-    def __eq__(self, other):
-        return (isinstance(other, BracketElem) and self.n == other.n
-                and self.triple == other.triple and self.pairs == other.pairs)
-
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         bits = ["%+d*t1^%d*t3^%d[w12,w23]" % (c, a, b)
                 for (a, b), c in sorted(self.triple.items())]
         bits += ["%+d*t%d^%d[w%d%d,t%d^%d w%d%d]" % (c, i, cc, i, j, i, l, i, j)
                  for (i, j, cc, l), c in sorted(self.pairs.items())]
-        return "".join(bits)
-
-
-def _pair_terms(n, terms):
-    # (key, coeff) pairs of t_i^c0 [w_ij, t_i^l w_ij] for (i, j, c0, l, coeff)
-    # in terms, in the canonical pair index range: l >= 1 (n odd), l >= 0
-    # (n even); below that, one graded swap [f,g] = (-1)^n [g,f] folds l to -l
-    sign = _parity_sign(n)
-    for i, j, c0, l, coeff in terms:
-        if l < 0:
-            c0, l, coeff = c0 + l, -l, sign * coeff
-        if l or n % 2 == 0:  # [x, x] is 2-torsion for n odd, zero rationally
-            yield (i, j, c0, l), coeff
+        return "".join(bits) or "0"
 
 
 def _triple_sign(pair1, pair2, n):
@@ -200,7 +191,7 @@ def bracket(x, y, n=None):
             coeff = c1 * c2
             if (i1, j1) == (i2, j2):
                 # [t_i^a w_ij, t_i^b w_ij] = t_i^a [w_ij, t_i^(b-a) w_ij]
-                pairs.append((i1, j1, a, b - a, coeff))
+                pairs.append(((i1, j1, a, b - a), coeff))
                 continue
             # one shared index: solve for the acting monomial with the
             # shared coordinate pinned to zero, then reduce the plain
@@ -214,21 +205,20 @@ def bracket(x, y, n=None):
                     mu[i - 1] = e
             triple.append(((mu[0] - mu[1], mu[2] - mu[1]),
                            _triple_sign((i1, j1), (i2, j2), n) * coeff))
-    return BracketElem(n, triple, _pair_terms(n, pairs))
+    return BracketElem(n, triple, pairs)
 
 
 # facet substitutions on the 2-point generators: image of w12 as a list of
-# (i, j, extra-coefficient flag) and images of t1, t2 as exponent vectors.
+# (i, j, extra-coefficient flag) and image of t1 as an exponent vector.
 # The flagged entry carries the velocity-vector degree a (it cancels from
 # every bracket: the 2nd Taylor stage null-homotopes the velocity map).
 _FACET_DATA = {
-    "t1=0": {"w": ((2, 3, False),), "t1": (0, 1, 0), "t2": (0, 0, 1)},
-    "t1=t2": {"w": ((1, 3, False), (2, 3, False), (2, 1, True)),
-              "t1": (1, 1, 0), "t2": (0, 0, 1)},
-    "t2=t3": {"w": ((1, 2, False), (1, 3, False), (2, 3, True)),
-              "t1": (1, 0, 0), "t2": (0, 1, 1)},
-    "t3=1": {"w": ((1, 2, False),), "t1": (1, 0, 0), "t2": (0, 1, 0)},
+    "t1=0": {"w": ((2, 3, False),), "t1": (0, 1, 0)},
+    "t1=t2": {"w": ((1, 3, False), (2, 3, False), (2, 1, True)), "t1": (1, 1, 0)},
+    "t2=t3": {"w": ((1, 2, False), (1, 3, False), (2, 3, True)), "t1": (1, 0, 0)},
+    "t3=1": {"w": ((1, 2, False),), "t1": (1, 0, 0)},
 }
+FACETS = tuple(_FACET_DATA)
 
 
 def facet_map(facet, x, a=0):
@@ -240,27 +230,23 @@ def facet_map(facet, x, a=0):
     invisible in bracket images, which the test-suite checks).  The
     image lives in x's dimension x.n.
     """
-    if facet not in _FACETS:
+    if facet not in _FACET_DATA:
         raise DomainError("unknown facet %r" % (facet,))
     if not isinstance(x, (DegNElem, BracketElem)):
         raise TypeError("expected a DegNElem or BracketElem")
+    if isinstance(x, BracketElem) and x.triple:
+        raise DomainError("input must live on 2 points (no triple part)")
+    if any(k[:2] != (1, 2) for part in x._dicts() for k in part):
+        raise DomainError("input must live on 2 points (w12 only)")
     data = _FACET_DATA[facet]
     n = x.n
     if isinstance(x, DegNElem):
-        terms = []
-        for (i, j, e), c in x.terms.items():
-            if (i, j) != (1, 2):
-                raise DomainError("input must live on 2 points (w12 only)")
-            exps = tuple(e * v for v in data["t1"])
-            for (u, v, extra) in data["w"]:
-                terms += deg_n_gen(u, v, exps, n, c * a if extra else c).terms.items()
-        return DegNElem(n, terms)
-    if x.triple:
-        raise DomainError("input must live on 2 points (no triple part)")
+        t1 = data["t1"]
+        return DegNElem(n, [((u, v, e * (t1[u - 1] - t1[v - 1])), c * a if extra else c)
+                            for (_, _, e), c in x.terms.items()
+                            for u, v, extra in data["w"]])
     triple, pairs = [], []
-    for (i, j, c0, l), c in x.pairs.items():
-        if (i, j) != (1, 2):
-            raise DomainError("input must live on 2 points (w12 only)")
+    for (_, _, c0, l), c in x.pairs.items():
         # the bracket is bilinear, so c scales the first factor
         img = bracket(facet_map(facet, DegNElem(n, {(1, 2, c0): c}), a),
                       facet_map(facet, DegNElem(n, {(1, 2, c0 + l): 1}), a), n)
@@ -288,8 +274,7 @@ def derive_R_relators(n, window):
     for alpha in range(lo, hi + 1):
         for beta in range(lo, hi + 1):
             p = pair_bracket(alpha, beta, n)
-            rel = (facet_map("t2=t3", p) - facet_map("t1=t2", p))
-            rel = rel.drop_edge_pairs()
+            rel = (facet_map("t2=t3", p) - facet_map("t1=t2", p)).drop_edge_pairs()
             if rel.pairs:
                 raise AssertionError("w13 pair terms failed to cancel at "
                                      "(%d, %d)" % (alpha, beta))

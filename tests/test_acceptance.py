@@ -7,7 +7,7 @@ Every test prints a PASS line with its elapsed time; run with
 import random
 import time
 
-from barbell.classes import (GClass, delta, delta_expansion, f_closed, f_level,
+from barbell.classes import (GClass, delta, delta_expansion, f_closed, f_levels,
                              g, independence_rank, w3)
 from barbell.hexagon import (basis_change_12_to_13, hex_normal_form, k_relator, orbit_of,
                              orbit_structure)
@@ -48,8 +48,8 @@ def test_criterion_03_per_level_consistency():
         for p in range(1, k):
             for q in range(1, k):
                 acc = GClass.zero()
-                for lvl in range(1, k):
-                    acc = acc + f_level(k, lvl, p, q)
+                for level in f_levels(k, p, q):
+                    acc = acc + level
                 assert acc == f_closed(k, p, q), (k, p, q)
     _report(3, "per-level sum equals closed form, k in [2,20], exact", t0)
 

@@ -5,10 +5,10 @@ import pytest
 
 from barbell import DomainError, classes, selfcheck
 from barbell.classes import (ROMAN_FORMS, GClass, d, delta, delta_expansion, e,
-                             f_closed, f_level, f_levels, g, gstar, independence_rank,
+                             f_closed, f_levels, g, gstar, independence_rank,
                              roman, twist_class, w3)
-from barbell.hexagon import hex_normal_form
-from barbell.intlat import IntMatrix
+from barbell.hexagon import hex_normal_form, orbit_of, orbit_structure
+from barbell.intlat import IntMatrix, QuotientStructure
 
 
 # Reference: the class algebra built by GClass arithmetic, one class per
@@ -101,15 +101,9 @@ def test_roman_examples():
 
 
 def test_f_level_cases():
-    assert f_level(5, 3, 4, 3) == d(4, -3)
-    assert f_level(5, 3, 1, 1).is_zero()
-    with pytest.raises(ValueError):
-        f_level(5, 0, 1, 1)
-    with pytest.raises(ValueError):
-        f_level(5, 3, 5, 1)
+    assert f_levels(5, 4, 3)[2] == d(4, -3)
+    assert f_levels(5, 1, 1)[2].is_zero()
     for args in ((1, 1, 1), (5, 0, 1), (5, 5, 1), (5, 1, 0), (5, 1, 5)):
-        with pytest.raises(DomainError):
-            f_level(args[0], 1, *args[1:])
         with pytest.raises(DomainError):
             f_levels(*args)
 
@@ -128,11 +122,10 @@ def test_per_level_sums_to_closed_form():
                 shared = {}
                 acc = GClass.zero()
                 for lvl in range(1, k):
-                    level = f_level(k, lvl, p, q)
+                    level = column[lvl - 1]
                     assert level == _ref_f_level(k, lvl, p, q), (k, lvl, p, q)
-                    assert column[lvl - 1] == level, (k, lvl, p, q)
                     form = classes._level_form(k, lvl, p, q)
-                    assert shared.setdefault(form, column[lvl - 1]) is column[lvl - 1]
+                    assert shared.setdefault(form, level) is level
                     acc = acc + level
                 assert acc == f_closed(k, p, q)
 
@@ -297,6 +290,28 @@ def test_delta3_vanishes_delta4_does_not():
     assert not delta(3).is_zero()
     assert hex_normal_form(w3(delta(3)), 3).is_zero()
     assert not hex_normal_form(w3(delta(4)), 3).is_zero()
+
+
+def test_w3_delta_is_one_primitive_twelve_orbit_class():
+    # W3(delta_k), k >= 4, lives on the single orbit of (1-k, 2-k): a
+    # twelve-orbit whose summand is Z^7, and a +-1 coordinate makes the
+    # class primitive there.  W3(delta_3) sits on the edge six-orbit of
+    # (-2, -1) at even n and vanishes at odd n.
+    for n in (3, 4, 5, 6):
+        for k in range(4, 81):
+            orbits = hex_normal_form(w3(delta(k)), n).orbits
+            rep = (1 - k, 2 - k)
+            assert list(orbits) == [rep], (k, n)
+            assert orbit_of(*rep).otype == "twelve"
+            assert orbit_structure(orbit_of(*rep), n) == QuotientStructure(7, [])
+            coords = orbits[rep]
+            assert len(coords) == 7 and all(m == 0 for _, m in coords), (k, n)
+            assert any(abs(v) == 1 for v, _ in coords), (k, n)
+        delta3 = hex_normal_form(w3(delta(3)), n)
+        if n % 2:
+            assert delta3.is_zero()
+        else:
+            assert delta3.orbits == {(-2, -1): ((2, 0), (-2, 0), (4, 0), (-4, 0))}
 
 
 def test_independence_examples():

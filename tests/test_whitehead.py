@@ -3,6 +3,7 @@ import random
 import pytest
 
 import barbell.whitehead as whitehead
+from barbell import DomainError
 from barbell.hexagon import basis_change_12_to_13, k_relator
 from barbell.laurent import LaurentPoly2
 from barbell.whitehead import (BracketElem, DegNElem, bracket, deg_n_gen,
@@ -50,6 +51,27 @@ def test_w_ii_vanishes():
 def test_index_range_checked():
     with pytest.raises(ValueError):
         deg_n_gen(0, 2, n=3)
+
+
+def test_constructors_put_keys_in_canonical_form():
+    # DegNElem: w_ji = (-1)^(n+1) w_ij, w_ii = 0, indices in {1,2,3}
+    assert DegNElem(3, {(2, 1, 0): 1}) == deg_n_gen(2, 1, n=3)
+    assert DegNElem(4, {(3, 1, 2): 5}) == DegNElem(4, {(1, 3, -2): -5})
+    assert DegNElem(4, {(3, 1, 2): 5}) == deg_n_gen(3, 1, (0, 0, 2), n=4, coeff=5)
+    assert DegNElem(3, {(2, 2, 5): 1}).is_zero()
+    for bad in ((1, 4, 0), (0, 2, 0)):
+        with pytest.raises(DomainError):
+            DegNElem(3, {bad: 1})
+    with pytest.raises(DomainError):
+        deg_n_gen(1, 4, n=3)
+    # BracketElem: l < 0 folds by one graded swap, [x, x] dies at odd n
+    assert BracketElem(3, pairs={(1, 2, 0, -1): 1}) == pair_bracket(0, -1, 3)
+    assert BracketElem(3, pairs={(1, 2, 0, -1): 1}) == BracketElem(3, pairs={(1, 2, -1, 1): -1})
+    assert BracketElem(4, pairs={(1, 2, 3, -2): 1}) == pair_bracket(3, 1, 4)
+    assert BracketElem(4, pairs={(1, 2, 3, -2): 1}) == BracketElem(4, pairs={(1, 2, 1, 2): 1})
+    assert BracketElem(3, pairs={(1, 2, 0, 0): 1}).is_zero()
+    assert pair_bracket(0, 0, 3).is_zero()
+    assert not BracketElem(4, pairs={(1, 2, 0, 0): 1}).is_zero()
 
 
 def test_cyclic_identity():
@@ -307,7 +329,7 @@ def test_bracket_and_facet_map_build_without_add(monkeypatch):
             x, y = DegNElem(n, _rand_terms(rng, keys)), DegNElem(n, _rand_terms(rng, keys))
             w12 = DegNElem(n, _rand_terms(rng, ((1, 2),)))
             p = pair_bracket(rng.randrange(-5, 6), rng.randrange(-5, 6), n)
-            cases.append((n, x, y, w12, p, rng.choice(whitehead._FACETS),
+            cases.append((n, x, y, w12, p, rng.choice(whitehead.FACETS),
                           rng.randrange(-3, 4)))
 
     def broken(self, other):

@@ -10,7 +10,13 @@ primitive classes:
 
 The (k-1) x (k-1) matrix F_k factors the symmetric k-strand family; it
 is skew symmetric with zero total sum, and twisting multiplies rows and
-columns by the twist vectors.  The third-order invariant sends G(p,q)
+columns by the twist vectors.  Every entry of F_k is an integer
+combination of D's, through the five roman forms, so the entries are
+built once, as DClass values over canonical D keys (f_closed_d,
+f_levels_d), and the G-valued f_closed, f_levels, roman, d, twist_class
+and delta are their expansions.  Distinct canonical D's expand to
+disjoint G supports, so the expansion is injective and an F_k identity
+may be checked in either basis.  The third-order invariant sends G(p,q)
 to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
 Each class is built once, from a flat list of (key, coeff) pairs.
 """
@@ -18,7 +24,7 @@ Each class is built once, from a flat list of (key, coeff) pairs.
 from . import DomainError
 from .hexagon import hex_normal_form
 from .intlat import IntegerRowSpan
-from .laurent import LaurentPoly2, Terms
+from .laurent import LaurentPoly2, Terms, combine, term_items
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
 
@@ -43,33 +49,72 @@ def e(p, q):
     return GClass([((-q, p), -1), ((p, -q), 1)])
 
 
-def _d(p, q, c):
-    # the (key, coeff) pairs of c * D(p, q)
-    return [((q, -p), -c), ((-q, p), c), ((p, -q), -c), ((-p, q), c)]
+class DClass(Terms):
+    """Integer combination of the classes D(x,y), each key canonical.
+
+    D(y,x) = D(x,y) and D(-x,-y) = -D(x,y) rewrite every key into the
+    form x >= y, x + y > 0; D(x,-x) = 0 is dropped.  The G key (a,b)
+    occurs only in the expansion of the D-orbit of (a,-b), so distinct
+    canonical keys expand to disjoint nonzero G supports: `expand` is
+    injective, and an identity holds in the D basis exactly when its G
+    expansion does.
+    """
+
+    __slots__ = ()
+    FIELDS = ("x", "y")
+    TERM = "%+d*D(%d,%d)"
+
+    def __init__(self, terms=None):
+        canonical = []
+        for (x, y), c in term_items(terms):
+            s = x + y
+            if s < 0:
+                x, y, c = -x, -y, -c
+            elif not s:
+                continue
+            canonical.append(((x, y) if x >= y else (y, x), c))
+        self.terms = combine(canonical)
+
+    def expand(self):
+        """The GClass of this combination, its dict built directly: the
+        supports are disjoint, so no key is summed twice."""
+        out = {}
+        for (x, y), c in self.terms.items():
+            if x == y:
+                out[(x, -x)] = -2 * c
+                out[(-x, x)] = 2 * c
+            else:
+                out[(y, -x)] = -c
+                out[(-y, x)] = c
+                out[(x, -y)] = -c
+                out[(-x, y)] = c
+        g = object.__new__(GClass)
+        g.terms = out
+        return g
 
 
 def d(p, q):
-    return GClass(_d(p, q, 1))
+    return DClass({(p, q): 1}).expand()
 
 
 def _roman(form, p, q, c):
-    # the (key, coeff) pairs of c times the roman form
+    # the raw D (key, coeff) pairs of c times the roman form
     if form == "I":
-        return _d(p, -q, c)
+        return [((p, -q), c)]
     if form == "IIb":
-        return _d(-q, p, c) + _d(p - q, -p, -c)
+        return [((-q, p), c), ((p - q, -p), -c)]
     if form == "IIbe":
-        return _d(-q, p, c) + _d(-p - q, p, -c) + _d(p - q, -p, -c) + _d(-q, -p, c)
+        return [((-q, p), c), ((-p - q, p), -c), ((p - q, -p), -c), ((-q, -p), c)]
     if form == "IIr":
-        return _d(p, -q, c) + _d(p - q, q, -c)
+        return [((p, -q), c), ((p - q, q), -c)]
     if form == "IIre":
-        return _d(p, -q, c) + _d(p + q, -q, -c) + _d(p - q, q, -c) + _d(p, q, c)
+        return [((p, -q), c), ((p + q, -q), -c), ((p - q, q), -c), ((p, q), c)]
     raise ValueError("unknown roman form %r" % (form,))
 
 
 def roman(form, p, q):
     """One of the five D-combinations entering the closed form of F_k."""
-    return GClass(_roman(form, p, q, 1))
+    return DClass(_roman(form, p, q, 1)).expand()
 
 
 def _check_fk_args(k, p, q):
@@ -95,21 +140,29 @@ def _level_form(k, level, p, q):
 
 
 def _form_class(form, p, q):
-    return GClass.zero() if form is None else roman(form, p, q)
+    return DClass.zero() if form is None else DClass(_roman(form, p, q, 1))
 
 
-def f_levels(k, p, q):
-    """The level-L entries of the factored family for L = 1..k-1, by the
-    per-level case table, one class built per distinct case: levels in the
-    same case share one GClass object."""
+def f_levels_d(k, p, q):
+    """The level-L entries of the factored family for L = 1..k-1 in the D
+    basis, by the per-level case table, one class built per distinct case:
+    levels in the same case share one DClass object."""
     _check_fk_args(k, p, q)
     forms = [_level_form(k, level, p, q) for level in range(1, k)]
     built = {form: _form_class(form, p, q) for form in dict.fromkeys(forms)}
     return tuple(map(built.__getitem__, forms))
 
 
+def f_levels(k, p, q):
+    """f_levels_d expanded to G, each shared class once, so levels in the
+    same case still share one GClass object."""
+    column = f_levels_d(k, p, q)
+    built = {id(x): x.expand() for x in column}
+    return tuple(built[id(x)] for x in column)
+
+
 def _f_closed(k, p, q, c):
-    # the (key, coeff) pairs of c * F_k(p, q)
+    # the raw D (key, coeff) pairs of c * F_k(p, q)
     if p + q < k:
         return _roman("IIre", p, q, c * p) + _roman("IIbe", p, q, c * q)
     return (_roman("IIb", p, q, c * (k - p - 1))
@@ -117,10 +170,16 @@ def _f_closed(k, p, q, c):
             + _roman("I", p, q, c * (p + q + 1 - k)))
 
 
+def f_closed_d(k, p, q):
+    """Closed form of F_k(p,q) in the D basis, the sum of its f_levels_d
+    entries."""
+    _check_fk_args(k, p, q)
+    return DClass(_f_closed(k, p, q, 1))
+
+
 def f_closed(k, p, q):
     """Closed form of F_k(p,q), the sum of its f_levels entries."""
-    _check_fk_args(k, p, q)
-    return GClass(_f_closed(k, p, q, 1))
+    return f_closed_d(k, p, q).expand()
 
 
 def twist_class(k, v, w):
@@ -133,8 +192,8 @@ def twist_class(k, v, w):
         raise DomainError("k must be >= 2")
     if len(v) != k - 1 or len(w) != k - 1:
         raise DomainError("twist vectors must have length k-1")
-    return GClass([pair for p in range(1, k) if v[p - 1] for q in range(1, k) if w[q - 1]
-                   for pair in _f_closed(k, p, q, v[p - 1] * w[q - 1])])
+    return DClass([pair for p in range(1, k) if v[p - 1] for q in range(1, k) if w[q - 1]
+                   for pair in _f_closed(k, p, q, v[p - 1] * w[q - 1])]).expand()
 
 
 def delta_expansion(k):

@@ -7,12 +7,20 @@ live only in CHECKS; the entry point `run(kmax)` reads CHECKS at call
 time and puts each name in front of its failure detail.  Checks call
 into the modules through their public attributes, so a corrupted table
 (or a test fixture monkeypatching one) is caught here.
+
+The three F_k sweeps (skew symmetry, total sum, per-level agreement)
+check the D-valued entries f_closed_d and f_levels_d: DClass.expand is
+injective, so each identity holds there exactly when it holds for the G
+classes, with one term per D instead of four.  The delta expansion
+check still compares the G-valued f_closed with its independent 8-term
+G expansion, so it also covers DClass.expand.
 """
 
 import random
 
 from . import DomainError, hexagon, whitehead
-from .classes import GClass, delta_expansion, e, f_closed, f_levels, g, gstar, w3
+from .classes import (DClass, GClass, delta_expansion, e, f_closed, f_closed_d, f_levels_d, g,
+                      gstar, w3)
 from .hexagon import (basis_change_12_to_13, hex_normal_form, orbit_of, orbit_relators,
                       orbit_structure, r_map, s_map)
 from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, rank_over_rationals,
@@ -298,39 +306,38 @@ def check_normal_form_soundness(kmax):
 
 
 def check_torsion_factors(kmax):
+    # orbit_of is canonical, so one Smith form per distinct orbit of the grid
+    orbits = sorted({orbit_of(a, b) for a in range(-5, 6) for b in range(-5, 6)})
     for n in (3, 4):
-        for a in range(-5, 6):
-            for b in range(-5, 6):
-                orbit = orbit_of(a, b)
-                st = orbit_structure(orbit, n)
-                if st != cokernel_structure(orbit_relators(orbit, n)):
-                    raise CheckFailure("table != SNF at (%d,%d) n=%d" % (a, b, n))
-                if any(t != 2 for t in st.torsion):
-                    raise CheckFailure("invariant factor %r at orbit of (%d,%d)"
-                                       % (st.torsion, a, b))
+        for orbit in orbits:
+            st = orbit_structure(orbit, n)
+            if st != cokernel_structure(orbit_relators(orbit, n)):
+                raise CheckFailure("table != SNF at orbit of %r n=%d" % (orbit.rep, n))
+            if any(t != 2 for t in st.torsion):
+                raise CheckFailure("invariant factor %r at orbit of %r" % (st.torsion, orbit.rep))
 
 
 def check_skew_symmetry(kmax):
     for k in range(2, kmax + 1):
         for p in range(1, k):
             for q in range(p, k):  # the identity is symmetric in (p, q)
-                if not (f_closed(k, p, q) + f_closed(k, q, p)).is_zero():
+                if not (f_closed_d(k, p, q) + f_closed_d(k, q, p)).is_zero():
                     raise CheckFailure("F_%d(%d,%d) + F_%d(%d,%d) != 0"
                                        % (k, p, q, k, q, p))
 
 
 def check_total_sum_vanishes(kmax):
     for k in range(2, kmax + 1):
-        total = GClass.sum(f_closed(k, p, q) for p in range(1, k) for q in range(1, k))
+        total = DClass.sum(f_closed_d(k, p, q) for p in range(1, k) for q in range(1, k))
         if not total.is_zero():
-            raise CheckFailure("sum of F_%d is %r" % (k, total))
+            raise CheckFailure("sum of F_%d is %r" % (k, total.expand()))
 
 
 def check_per_level_agreement(kmax):
     for k in range(2, kmax + 1):
         for p in range(1, k):
             for q in range(1, k):
-                if GClass.sum(f_levels(k, p, q)) != f_closed(k, p, q):
+                if DClass.sum(f_levels_d(k, p, q)) != f_closed_d(k, p, q):
                     raise CheckFailure("k=%d p=%d q=%d" % (k, p, q))
 
 

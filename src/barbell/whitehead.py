@@ -122,9 +122,12 @@ class BracketElem(_Elem):
     """Degree-(2n-1) class in the canonical triple + pair basis.
 
     triple: (a, b) -> coeff   for t1^a t3^b [w12, w23]
-    pairs:  (i, j, c, l) -> coeff   for t_i^c [w_ij, t_i^l w_ij]; l < 0
-            folds by one graded swap [f,g] = (-1)^n [g,f], and l = 0 is
-            dropped at odd n, where [x, x] is 2-torsion, zero rationally
+    pairs:  (i, j, c, l) -> coeff   for t_i^c [w_ij, t_i^l w_ij]; a key
+            with i > j is rewritten as (j, i, -c, -l), since t_j acts on
+            w_ij as t_i^-1 and the two flips of w_ji cancel; [w_ii, .] = 0
+            is dropped; l < 0 folds by one graded swap
+            [f,g] = (-1)^n [g,f], and l = 0 is dropped at odd n, where
+            [x, x] is 2-torsion, zero rationally
     """
 
     __slots__ = ("triple", "pairs")
@@ -137,6 +140,12 @@ class BracketElem(_Elem):
         sign = _parity_sign(n)
         canonical = []
         for (i, j, c0, l), c in term_items(pairs):
+            if not (1 <= i <= 3 and 1 <= j <= 3):
+                raise DomainError("point indices must lie in {1,2,3}")
+            if i == j:
+                continue
+            if i > j:
+                i, j, c0, l = j, i, -c0, -l
             if l < 0:
                 c0, l, c = c0 + l, -l, sign * c
             if l or n % 2 == 0:

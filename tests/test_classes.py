@@ -2,9 +2,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barbell import DomainError, classes, selfcheck
-from barbell.classes import (ROMAN_FORMS, GClass, d, delta, delta_expansion, e,
+from barbell.classes import (ROMAN_FORMS, DClass, GClass, d, delta, delta_expansion, e,
                              f_closed, f_levels, g, gstar, independence_rank,
                              roman, twist_class, w3)
 from barbell.hexagon import hex_normal_form, orbit_of, orbit_structure
@@ -12,8 +14,9 @@ from barbell.intlat import IntMatrix, QuotientStructure
 
 
 # Reference: the class algebra built by GClass arithmetic, one class per
-# D(p, q) and one more per -, + and .scale().  The flat (key, coeff)
-# builders in barbell.classes must give the same classes.
+# D(p, q), its four G terms summed by the constructor, and one more per
+# -, + and .scale().  The D-basis builders in barbell.classes, expanded,
+# must give the same classes.
 def _ref_d(p, q):
     return GClass([((q, -p), -1), ((-q, p), 1), ((p, -q), -1), ((-p, q), 1)])
 
@@ -87,6 +90,49 @@ def test_d_symmetries_on_grid():
             assert d(-p, -q) == d(p, q).neg()
 
 
+def test_d_class_keys_are_canonical():
+    # D(y,x) = D(x,y), D(-x,-y) = -D(x,y), D(x,-x) = 0
+    assert DClass({(1, 2): 1}) == DClass({(2, 1): 1}) == DClass({(-2, -1): -1})
+    assert DClass({(3, -3): 5, (0, 0): 1}).is_zero()
+    assert repr(DClass([((1, 2), 1), ((-1, -2), 3), ((0, 4), 2)])) == "-2*D(2,1)+2*D(4,0)"
+    for x in range(-12, 13):
+        for y in range(-12, 13):
+            for (a, b), c in DClass({(x, y): 1}).terms.items():
+                assert a >= b and a + b > 0 and abs(c) == 1, (x, y)
+
+
+def test_d_class_expands_to_the_four_term_reference():
+    for x in range(-12, 13):
+        for y in range(-12, 13):
+            for c in (1, -3):
+                assert DClass({(x, y): c}).expand() == _ref_d(x, y).scale(c), (x, y, c)
+
+
+def test_d_class_expansion_has_disjoint_supports():
+    # distinct canonical D's expand to nonzero, pairwise disjoint G
+    # supports, so the expansion is injective
+    reps = {key for x in range(-40, 41) for y in range(-40, 41)
+            for key in DClass({(x, y): 1}).terms}
+    seen = set()
+    for rep in reps:
+        support = DClass({rep: 1}).expand().terms
+        assert support and not seen & support.keys(), rep
+        seen |= support.keys()
+
+
+_D_TERMS = st.lists(st.tuples(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                              st.integers(-5, 5)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_D_TERMS, _D_TERMS)
+def test_d_class_expansion_is_additive(a, b):
+    x, y = DClass(a), DClass(b)
+    assert (x + y).expand() == x.expand() + y.expand()
+    assert DClass(a + b).expand() == x.expand() + y.expand()
+    assert x.neg().expand() == x.expand().neg()
+
+
 def test_roman_examples():
     assert roman("I", 3, 2) == d(3, -2)
     assert roman("IIb", 1, 3) == d(-3, 1) - d(-2, -1)
@@ -147,8 +193,8 @@ def test_level_case_counts_are_closed_form_weights():
 
 def test_per_level_sweep_evaluates_every_level(monkeypatch):
     # the per-level check samples the case table at every (k, L, p, q) and
-    # compares with f_closed once per (k, p, q); it does not count cases
-    calls = {"_level_form": 0, "f_closed": 0}
+    # compares with f_closed_d once per (k, p, q); it does not count cases
+    calls = {"_level_form": 0, "f_closed_d": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -157,37 +203,37 @@ def test_per_level_sweep_evaluates_every_level(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(classes, "_level_form", counted("_level_form", classes._level_form))
-    monkeypatch.setattr(selfcheck, "f_closed", counted("f_closed", selfcheck.f_closed))
+    monkeypatch.setattr(selfcheck, "f_closed_d", counted("f_closed_d", selfcheck.f_closed_d))
     selfcheck.check_per_level_agreement(8)
     # sum of (k-1)^3 and of (k-1)^2 over 2 <= k <= 8
-    assert calls == {"_level_form": 784, "f_closed": 140}
+    assert calls == {"_level_form": 784, "f_closed_d": 140}
 
 
 def test_skew_check_catches_a_corrupt_entry_on_either_side(monkeypatch):
     # the check visits each unordered pair once; a corrupt entry below the
     # diagonal, or on it, is still reported, with the pair as (min, max)
-    good = classes.f_closed
+    good = classes.f_closed_d
     for bad, detail in (((5, 3, 1), "F_5(1,3) + F_5(3,1) != 0"),
                         ((5, 2, 2), "F_5(2,2) + F_5(2,2) != 0")):
         def corrupt(k, p, q, bad=bad):
             out = good(k, p, q)
-            return out + g(0, 0) if (k, p, q) == bad else out
+            return out + DClass({(1, 0): 1}) if (k, p, q) == bad else out
 
-        monkeypatch.setattr(selfcheck, "f_closed", corrupt)
+        monkeypatch.setattr(selfcheck, "f_closed_d", corrupt)
         with pytest.raises(selfcheck.CheckFailure) as exc:
             selfcheck.check_skew_symmetry(6)
         assert str(exc.value) == detail
 
 
 def _replace_mid_run(make):
-    # f_levels with the middle level of the first run of >= 3 shared
+    # f_levels_d with the middle level of the first run of >= 3 shared
     # nonzero levels at k = 6 replaced by make(level); returns
     # (patched, (k, p, q))
     k = 6
+    good = classes.f_levels_d
     p, q, i = next((p, q, i) for p in range(1, k) for q in range(1, k)
-                   for col in [f_levels(k, p, q)] for i in range(1, k - 2)
+                   for col in [good(k, p, q)] for i in range(1, k - 2)
                    if col[i - 1] is col[i] is col[i + 1] and not col[i].is_zero())
-    good = classes.f_levels
 
     def patched(*args):
         column = good(*args)
@@ -198,14 +244,14 @@ def _replace_mid_run(make):
 
 
 def test_per_level_check_catches_a_level_changed_inside_a_run(monkeypatch):
-    patched, (k, p, q) = _replace_mid_run(lambda level: level + g(0, 0))
-    monkeypatch.setattr(selfcheck, "f_levels", patched)
+    patched, (k, p, q) = _replace_mid_run(lambda level: level + DClass({(1, 0): 1}))
+    monkeypatch.setattr(selfcheck, "f_levels_d", patched)
     with pytest.raises(selfcheck.CheckFailure) as exc:
         selfcheck.check_per_level_agreement(6)
     assert str(exc.value) == "k=%d p=%d q=%d" % (k, p, q)
     # a distinct object of equal value splits the run but not the sum
-    patched, _ = _replace_mid_run(lambda level: GClass(dict(level.terms)))
-    monkeypatch.setattr(selfcheck, "f_levels", patched)
+    patched, _ = _replace_mid_run(lambda level: DClass(dict(level.terms)))
+    monkeypatch.setattr(selfcheck, "f_levels_d", patched)
     selfcheck.check_per_level_agreement(6)
 
 

@@ -74,6 +74,50 @@ def test_constructors_put_keys_in_canonical_form():
     assert not BracketElem(4, pairs={(1, 2, 0, 0): 1}).is_zero()
 
 
+def test_bracket_pair_keys_put_point_indices_in_canonical_form():
+    # t_j acts on w_ij as t_i^-1, so (j, i, c, l) is (i, j, -c, -l), folded
+    assert BracketElem(3, pairs={(2, 1, 0, 1): 1}) == BracketElem(3, pairs={(1, 2, 0, -1): 1})
+    assert repr(BracketElem(3, pairs={(2, 1, 0, 1): 1})) == "-1*t1^-1[w12,t1^1 w12]"
+    for n in (3, 4):
+        for i, j in ((2, 1), (3, 1), (3, 2)):
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    exps = [0, 0, 0]
+                    exps[j - 1] = a
+                    x = deg_n_gen(j, i, tuple(exps), n)
+                    exps[j - 1] = b
+                    y = deg_n_gen(j, i, tuple(exps), n)
+                    assert BracketElem(n, pairs={(j, i, a, b - a): 1}) == bracket(x, y, n)
+    assert BracketElem(4, pairs={(2, 2, 0, 1): 1}).is_zero()
+    for bad in ((1, 5, 0, 1), (0, 2, 0, 1), (4, 1, 0, 1)):
+        with pytest.raises(DomainError):
+            BracketElem(3, pairs={bad: 1})
+
+
+def _rand_deg_n(rng, n):
+    return DegNElem(n, {(rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(-4, 5)):
+                        rng.randrange(-3, 4) for _ in range(rng.randrange(1, 5))})
+
+
+def test_bracket_is_graded_antisymmetric():
+    # [y, x] = (-1)^n [x, y] in equal degree n
+    rng = random.Random(7)
+    for n in (3, 4):
+        for _ in range(200):
+            x, y = _rand_deg_n(rng, n), _rand_deg_n(rng, n)
+            assert bracket(x, y, n) == bracket(y, x, n).scale((-1) ** n), (n, x, y)
+
+
+def test_chart_change_sign_agrees_with_the_bracket_layer():
+    # [t1^a w13, t2^b w23] read in the (t1, t2) chart is the monomial
+    # t1^a t2^b: the chart change's sign is the bracket's forward sign
+    for n in (3, 4):
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                br = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(2, 3, (0, b, 0), n), n)
+                assert basis_change_12_to_13(br.triple_poly()) == LaurentPoly2.monomial(a, b)
+
+
 def test_cyclic_identity():
     for n in (3, 4):
         a = bracket(deg_n_gen(1, 2, n=n), deg_n_gen(2, 3, n=n), n)

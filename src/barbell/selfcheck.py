@@ -312,9 +312,10 @@ def check_torsion_factors(kmax):
         for orbit in orbits:
             st = orbit_structure(orbit, n)
             if st != cokernel_structure(orbit_relators(orbit, n)):
-                raise CheckFailure("table != SNF at orbit of %r n=%d" % (orbit.rep, n))
+                raise CheckFailure("table != SNF at orbit of (%d,%d) n=%d" % (orbit.rep + (n,)))
             if any(t != 2 for t in st.torsion):
-                raise CheckFailure("invariant factor %r at orbit of %r" % (st.torsion, orbit.rep))
+                raise CheckFailure("invariant factor %r at orbit of (%d,%d)"
+                                   % ((st.torsion,) + orbit.rep))
 
 
 def check_skew_symmetry(kmax):

@@ -24,7 +24,7 @@ Each class is built once, from a flat list of (key, coeff) pairs.
 from . import DomainError
 from .hexagon import hex_normal_form
 from .intlat import IntegerRowSpan
-from .laurent import LaurentPoly2, Terms, combine, term_items
+from .laurent import LaurentPoly2, Terms, term_items
 
 ROMAN_FORMS = ("I", "IIb", "IIbe", "IIr", "IIre")
 
@@ -65,15 +65,20 @@ class DClass(Terms):
     TERM = "%+d*D(%d,%d)"
 
     def __init__(self, terms=None):
-        canonical = []
+        d = {}
         for (x, y), c in term_items(terms):
             s = x + y
             if s < 0:
                 x, y, c = -x, -y, -c
             elif not s:
                 continue
-            canonical.append(((x, y) if x >= y else (y, x), c))
-        self.terms = combine(canonical)
+            key = (x, y) if x >= y else (y, x)
+            c += d.get(key, 0)
+            if c:
+                d[key] = c
+            else:
+                d.pop(key, None)
+        self.terms = d
 
     def expand(self):
         """The GClass of this combination, its dict built directly: the

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from . import DomainError, selfcheck as selfcheck_mod
 from .classes import GClass, delta, f_closed, f_levels, independence_rank, twist_class, w3
@@ -256,8 +257,18 @@ class InternalInvariantError(Exception):
         self.text = text
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    # a fixed width, not the terminal's, so that --help prints the same bytes anywhere
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
-    # usage errors leave by the one exit-2 path; subparsers inherit this class
+    # usage errors leave by the one exit-2 path, and help has one width;
+    # subparsers inherit this class
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))
 
@@ -408,7 +419,8 @@ def _json_text(obj):
 def _normal_form_text(nf, pad):
     """_json_text of {"orbits": [{"coords": [{"modulus": m, "value": "v"},
     ...], "rep": [a, b]}, ...]} for nf at `pad`, with no dict built: each
-    orbit fills one %-template, made once per number of coords."""
+    distinct (value, modulus) coord is written once, and each orbit's
+    record joins its coords' texts between a fixed head and tail."""
     p2, p3 = pad + "  ", pad + "    "
     if not nf.orbits:
         return '{%s"orbits": []%s}' % (p2, pad)
@@ -416,9 +428,8 @@ def _normal_form_text(nf, pad):
     coord = '%s{%s"modulus": %%d,%s"value": "%%d"%s}' % (p5, p6, p6, p5)
     head = '{%s"coords": [' % p4
     tail = '%s],%s"rep": [%s%%d,%s%%d%s]%s}' % (p4, p4, p5, p5, p4, p3)
-    templates = {size: head + ",".join([coord] * size) + tail
-                 for size in {len(coords) for coords in nf.orbits.values()}}
-    records = [templates[len(coords)] % (*[x for v, m in coords for x in (m, v)], *rep)
+    texts = {vm: coord % (vm[1], vm[0]) for vm in set(chain.from_iterable(nf.orbits.values()))}
+    records = [head + ",".join(map(texts.__getitem__, coords)) + tail % rep
                for rep, coords in sorted(nf.orbits.items())]
     return '{%s"orbits": [%s%s%s]%s}' % (p2, p3, ("," + p3).join(records), p2, pad)
 

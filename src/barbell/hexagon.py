@@ -9,9 +9,13 @@ The relator family touches, at (p, q), exactly the four monomials
 
 generate the dihedral group of the hexagon, whose twelve elements are
 r^i and r^i s.  So orbit_of writes an orbit down in closed form, the six
-r-images of a point and their s-images, with no search, and
-hex_normal_form reduces each orbit block of its input once, through the
-sparse Smith rows of the block's shape.  Every relator is supported
+r-images of a point and their s-images, with no search.  hex_normal_form
+makes one pass over the terms of its input.  A monomial off the six
+degenerate lines lies in a twelve-orbit, and _least reads off that
+orbit's least point and the monomial's place in it in closed form; a
+monomial on them goes through orbit_of.  Each term adds its coefficient
+times its element's sparse Smith row to its orbit's coordinates, the
+rows being those of the orbit's shape.  Every relator is supported
 inside a single orbit, so the quotient splits as a direct sum over
 orbits.  A relator is a fixed signed sum of group elements applied to
 (p, q), and orbit_of lists an orbit as fixed group words applied to a
@@ -184,27 +188,71 @@ class HexNormalForm:
         return "HexNormalForm{%s}" % "; ".join(bits)
 
 
+def _least(a, b):
+    """(rep, j) for a point off the degenerate lines: rep is the least point
+    of its orbit and j the index of the image of (a, b) that equals rep,
+    counting r^0..r^5 of (a, b), then r^0..r^5 of s(a, b) = (-b, -a).
+
+    |a|, |b| and |a-b| are distinct and nonzero there, so the least first
+    coordinate -max(|a|, |b|, |a-b|) is taken by exactly one of +-a, +-b,
+    +-(a-b), and by exactly two of the twelve images; the smaller second
+    coordinate picks one.
+    """
+    d = a - b
+    ua, ub, ud = abs(a), abs(b), abs(d)
+    if ua > ub and ua > ud:
+        if a < 0:
+            return ((a, b), 0) if b < d else ((a, d), 8)
+        return ((-a, -b), 3) if b > d else ((-a, -d), 11)
+    if ub > ud:
+        if b < 0:
+            return ((b, -d), 5) if -d < a else ((b, a), 9)
+        return ((-b, d), 2) if d < -a else ((-b, -a), 6)
+    if d < 0:
+        return ((d, a), 1) if a < -b else ((d, -b), 7)
+    return ((-d, -a), 4) if -a < b else ((-d, b), 10)
+
+
+# _POSITION[j]: the place of (a, b) in orbit_of(rep).elements, which lists
+# r^0..r^5 of rep and then their s-images, when rep is image j of (a, b):
+# rep = r^j (a, b) puts (a, b) at r^-j rep, and rep = r^i s (a, b) at s r^-i rep
+_POSITION = (0, 5, 4, 3, 2, 1, 6, 11, 10, 9, 8, 7)
+
+
 def hex_normal_form(poly, n):
-    """Canonical form of poly * [w13, w23] in the quotient by the relators."""
+    """Canonical form of poly * [w13, w23] in the quotient by the relators.
+
+    One pass over the terms: a monomial off the degenerate lines finds its
+    orbit rep and its place in the orbit from _least, one on them from
+    orbit_of; c times the element's sparse Smith row is added to its
+    orbit's coordinates, which are reduced mod the moduli at the end.
+    """
     check_sphere_dimension(n)
-    terms = poly.terms
-    seen = set()
-    out = {}
-    for mono in terms:
-        if mono in seen:
-            continue
-        orbit = orbit_of(*mono)
-        rows, moduli = _SHAPE_ROWS[(_shape(orbit), n % 2)]
-        # coordinates in the Smith basis: (vec . V) entry-wise mod d_i
-        y = [0] * len(moduli)
-        for el, row in zip(orbit.elements, rows):
-            c = terms.get(el)
-            if c:
-                seen.add(el)
-                for j, a in row:
-                    y[j] += c * a
-        out[orbit.rep] = tuple((v % m if m else v, m) for v, m in zip(y, moduli))
-    return HexNormalForm(out)
+    parity = n % 2
+    twelve_rows, twelve_moduli = _SHAPE_ROWS[("twelve", parity)]
+    blocks = {}  # rep -> (coordinates in the Smith basis, moduli)
+    for (a, b), c in poly.terms.items():
+        if on_degenerate_line(a, b):
+            orbit = orbit_of(a, b)
+            rep = orbit.rep
+            rows, moduli = _SHAPE_ROWS[(_shape(orbit), parity)]
+            row = rows[orbit.elements.index((a, b))]
+        else:
+            rep, j = _least(a, b)
+            moduli = twelve_moduli
+            row = twelve_rows[_POSITION[j]]
+        block = blocks.get(rep)
+        if block is None:
+            block = blocks[rep] = ([0] * len(moduli), moduli)
+        y = block[0]
+        for i, v in row:
+            y[i] += c * v
+    orbits = {}
+    for rep, (y, moduli) in blocks.items():
+        if any(moduli):
+            y = [v % m if m else v for v, m in zip(y, moduli)]
+        orbits[rep] = tuple(zip(y, moduli))
+    return HexNormalForm(orbits)
 
 
 # Monomial chart change between the two bracket bases:

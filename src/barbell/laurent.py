@@ -68,7 +68,7 @@ class Terms:
 
     @classmethod
     def sum(cls, items):
-        """Sum of an iterable of cls instances, built in one constructor pass.
+        """Sum of an iterable of cls instances, summed in one combine pass.
 
         A run of m consecutive references to one object streams its terms
         once, each coefficient times m; only the current run is held.
@@ -86,7 +86,9 @@ class Terms:
                 if type(x) is not cls and x is not _END:
                     raise TypeError("cannot add %s to %s" % (type(x).__name__, cls.__name__))
                 run, m = x, 1
-        return cls(pairs())
+        out = object.__new__(cls)  # the items are normalised instances of cls
+        out.terms = combine(pairs())
+        return out
 
     def is_zero(self):
         return not self.terms

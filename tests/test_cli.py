@@ -41,6 +41,21 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_help_bytes_do_not_depend_on_the_terminal_width(capsys, monkeypatch):
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    for argv in ([], ["fk"], ["hex", "reduce"], ["whitehead", "facet"]):
+        monkeypatch.delenv("COLUMNS", raising=False)
+        want = help_text(argv)
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert help_text(argv) == want, (argv, columns)
+
+
 def test_delta_expand_json_has_eight_terms(capsys):
     code, out, _ = run_cli(capsys, ["delta", "--k", "4", "--expand", "--format", "json"])
     assert code == 0

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import barbell.hexagon as hexagon
 from barbell.classes import delta, w3
 from barbell.hexagon import (basis_change_12_to_13, hex_normal_form, k_relator,
@@ -51,15 +54,48 @@ def test_orbit_of_matches_bfs_reference():
 
 
 def test_normal_form_reduces_each_orbit_block_once(monkeypatch):
+    # orbit_of runs once for each monomial on a degenerate line and never
+    # for the others, and each orbit met gives one block
     calls = []
     monkeypatch.setattr(hexagon, "orbit_of", lambda a, b: calls.append((a, b)) or orbit_of(a, b))
+    degenerate = LaurentPoly2({(0, 0): 2, (3, 0): -1, (0, 3): 4, (2, 2): 1, (-5, 5): 3,
+                               (2, 4): -7, (4, 2): 1, (-1, -2): 5})
     polys = [w3(delta(k)) for k in (4, 9, 25)]
-    polys.append(polys[0] + polys[1] + polys[2])
+    polys.append(polys[0] + polys[1] + polys[2] + degenerate)
+    polys.append(degenerate)
     for poly in polys:
-        blocks = {orbit_of(*mono).rep for mono in poly.terms}
+        want = [mono for mono in poly.terms if on_degenerate_line(*mono)]
         calls.clear()
-        hex_normal_form(poly, 3)
-        assert len(calls) == len(blocks) < len(poly.terms)
+        nf = hex_normal_form(poly, 3)
+        assert calls == want
+        assert set(nf.orbits) <= {orbit_of(*mono).rep for mono in poly.terms}
+    assert len(calls) == 8
+
+
+def test_least_matches_orbit_of():
+    big = 10 ** 40
+    rng = random.Random(27)
+    points = [(a, b) for a in range(-90, 91) for b in range(-90, 91)]
+    points += [(rng.randrange(-big, big), rng.randrange(-big, big)) for _ in range(2000)]
+    points += [(big + 1, big), (-big, 2 * big + 1), (big, -big + 1), (3 * big, big)]
+    generic = 0
+    for a, b in points:
+        if on_degenerate_line(a, b):
+            continue
+        generic += 1
+        orbit = orbit_of(a, b)
+        rep, j = hexagon._least(a, b)
+        assert rep == orbit.rep, (a, b)
+        assert orbit.elements[hexagon._POSITION[j]] == (a, b), (a, b)
+    assert generic >= 31860
+
+
+def test_least_picks_every_image():
+    # each of the twelve images is the least one for some point
+    seen = {hexagon._least(a, b)[1] for a in range(-9, 10) for b in range(-9, 10)
+            if not on_degenerate_line(a, b)}
+    assert seen == set(range(12))
+    assert sorted(hexagon._POSITION) == list(range(12))
 
 
 def test_orbit_of_unit_hexagon():
@@ -254,6 +290,51 @@ def test_normal_form_matches_dense_reference():
             shapes.update(hexagon._shape(orbit_of(*mono)) for mono in poly.terms)
     assert shapes == {"origin", "vertex", "edge", "twelve"}
     assert crowded and negative_torsion
+
+
+def per_orbit_normal_form(poly, n):
+    """Reference: each orbit block of poly reduced once, through orbit_of
+    and its shape's sparse Smith rows, looking each orbit element up in
+    the terms."""
+    terms = poly.terms
+    seen = set()
+    out = {}
+    for mono in terms:
+        if mono in seen:
+            continue
+        orbit = orbit_of(*mono)
+        rows, moduli = hexagon._SHAPE_ROWS[(hexagon._shape(orbit), n % 2)]
+        y = [0] * len(moduli)
+        for el, row in zip(orbit.elements, rows):
+            c = terms.get(el)
+            if c:
+                seen.add(el)
+                for j, a in row:
+                    y[j] += c * a
+        out[orbit.rep] = tuple((v % m if m else v, m) for v, m in zip(y, moduli))
+    return hexagon.HexNormalForm(out)
+
+
+_LINES = (lambda t: (0, 0), lambda t: (t, 0), lambda t: (0, t), lambda t: (t, t),
+          lambda t: (t, -t), lambda t: (t, 2 * t), lambda t: (2 * t, t))
+_points = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30)),
+    st.builds(lambda line, t: line(t), st.sampled_from(_LINES), st.integers(-20, 20)))
+# a point, then one of its orbit's elements, so that blocks get crowded
+_monomials = st.builds(lambda p, k: (lambda els: els[k % len(els)])(orbit_of(*p).elements),
+                       _points, st.integers(0, 11))
+_coefficients = st.one_of(st.integers(-5, 5), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_monomials, _coefficients), max_size=30), st.integers(3, 6))
+def test_normal_form_matches_per_orbit_reference(pairs, n):
+    poly = LaurentPoly2(pairs)
+    got = hex_normal_form(poly, n)
+    want = per_orbit_normal_form(poly, n)
+    assert got == want
+    assert list(got.orbits) == list(want.orbits)
 
 
 def test_relator_orbit_locality():

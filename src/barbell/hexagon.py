@@ -10,12 +10,11 @@ The relator family touches, at (p, q), exactly the four monomials
 generate the dihedral group of the hexagon, whose twelve elements are
 r^i and r^i s.  So orbit_of writes an orbit down in closed form, the six
 r-images of a point and their s-images, with no search.  hex_normal_form
-makes one pass over the terms of its input.  A monomial off the six
-degenerate lines lies in a twelve-orbit, and _least reads off that
-orbit's least point and the monomial's place in it in closed form; a
-monomial on them goes through orbit_of.  Each term adds its coefficient
-times its element's sparse Smith row to its orbit's coordinates, the
-rows being those of the orbit's shape.  Every relator is supported
+makes one pass over the terms of its input: for every monomial, on the
+six degenerate lines or off them, _least reads off in closed form its
+orbit's least point and which image of the monomial lands there, and the
+term adds its coefficient times that image's row of its shape's sparse
+Smith rows to its orbit's coordinates.  Every relator is supported
 inside a single orbit, so the quotient splits as a direct sum over
 orbits.  A relator is a fixed signed sum of group elements applied to
 (p, q), and orbit_of lists an orbit as fixed group words applied to a
@@ -116,15 +115,17 @@ def orbit_relators(orbit, n):
 def orbit_structure(orbit, n):
     """Orbit summand's isomorphism type: a free Z per 0 modulus of its shape."""
     check_sphere_dimension(n)
-    moduli = _SHAPE_ROWS[(_shape(orbit), n % 2)][1]
+    moduli = _SHAPE_ROWS[(_shape(orbit.rep), n % 2)][1]
     return QuotientStructure(moduli.count(0), [m for m in moduli if m])
 
 
-def _shape(orbit):
-    if orbit.otype != "six":
-        return orbit.otype
-    a, b = orbit.rep
-    return "vertex" if a == 0 or b == 0 or a == b else "edge"
+def _shape(rep):
+    """Shape of the orbit whose least point is rep: the origin (0, 0), a vertex
+    six-orbit (-t, -t) or an edge six-orbit (-2t, -t) with t > 0, else twelve."""
+    x, y = rep
+    if x == y:
+        return "origin" if x == 0 else "vertex"
+    return "edge" if x == 2 * y else "twelve"
 
 
 def _smith_coordinates(orbit, n):
@@ -133,20 +134,54 @@ def _smith_coordinates(orbit, n):
     return v, tuple(d.diagonal() + [0] * (d.cols - min(d.rows, d.cols)))
 
 
-def _sparse_rows(v, moduli):
+def _sparse_rows(v, moduli, keys):
     """(rows, moduli) over the Smith coordinates whose modulus is not 1:
-    row i lists (coordinate, V[i][j]) for each nonzero entry of element i."""
+    rows[keys[i]] lists (coordinate, V[i][j]) for each nonzero V[i][j]."""
     keep = [j for j, m in enumerate(moduli) if m != 1]
-    rows = tuple(tuple((c, v.data[i][j]) for c, j in enumerate(keep) if v.data[i][j])
-                 for i in range(v.rows))
+    rows = {key: tuple((c, v.data[i][j]) for c, j in enumerate(keep) if v.data[i][j])
+            for i, key in enumerate(keys)}
     return rows, tuple(moduli[j] for j in keep)
 
 
-# (shape, n % 2) -> the sparse Smith rows and moduli of one orbit of each
-# shape; never mutated
-_SHAPE_ROWS = {(_shape(orbit), n % 2): _sparse_rows(*_smith_coordinates(orbit, n))
-               for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
-               for n in (3, 4)}
+def _least(a, b):
+    """(rep, j): rep is the least point of the orbit of (a, b), and j the
+    index of an image of (a, b) equal to rep, counting r^0..r^5 of (a, b),
+    then r^0..r^5 of s(a, b) = (-b, -a).
+
+    The least first coordinate is -max(|a|, |b|, |a-b|), reached by those
+    of +-a, +-b, +-(a-b) at the maximum, in two images each; the smaller
+    second coordinate picks one.  Off the six degenerate lines one value
+    reaches it.  On a line two may tie, and tied values are equal up to
+    sign, so both tied branches compare the same two points: the least
+    point and a valid index come out either way.  At the origin every
+    image is (0, 0).
+    """
+    d = a - b
+    ua, ub, ud = abs(a), abs(b), abs(d)
+    if ua > ub and ua > ud:
+        if a < 0:
+            return ((a, b), 0) if b < d else ((a, d), 8)
+        return ((-a, -b), 3) if b > d else ((-a, -d), 11)
+    if ub > ud:
+        if b < 0:
+            return ((b, -d), 5) if -d < a else ((b, a), 9)
+        return ((-b, d), 2) if d < -a else ((-b, -a), 6)
+    if d < 0:
+        return ((d, a), 1) if a < -b else ((d, -b), 7)
+    return ((-d, -a), 4) if -a < b else ((-d, b), 10)
+
+
+# (shape, n % 2) -> (rows, moduli) of one sample orbit per shape: the moduli
+# that are not 1, and rows[j] the sparse Smith row of the element whose image
+# j under _least is the rep.  j is a group element and the shape fixes the
+# rep's stabilizer, so j fixes the element's place in any orbit of the shape;
+# a twelve-orbit meets all twelve j, and a six-orbit, a positive multiple of
+# its sample, the sample's (_least is homogeneous).  Never mutated.
+_SHAPE_ROWS = {
+    (_shape(orbit.rep), n % 2):
+        _sparse_rows(*_smith_coordinates(orbit, n), [_least(*x)[1] for x in orbit.elements])
+    for orbit in (orbit_of(0, 0), orbit_of(-1, 0), orbit_of(-1, 1), orbit_of(-2, 1))
+    for n in (3, 4)}
 
 
 class HexNormalForm:
@@ -188,67 +223,28 @@ class HexNormalForm:
         return "HexNormalForm{%s}" % "; ".join(bits)
 
 
-def _least(a, b):
-    """(rep, j) for a point off the degenerate lines: rep is the least point
-    of its orbit and j the index of the image of (a, b) that equals rep,
-    counting r^0..r^5 of (a, b), then r^0..r^5 of s(a, b) = (-b, -a).
-
-    |a|, |b| and |a-b| are distinct and nonzero there, so the least first
-    coordinate -max(|a|, |b|, |a-b|) is taken by exactly one of +-a, +-b,
-    +-(a-b), and by exactly two of the twelve images; the smaller second
-    coordinate picks one.
-    """
-    d = a - b
-    ua, ub, ud = abs(a), abs(b), abs(d)
-    if ua > ub and ua > ud:
-        if a < 0:
-            return ((a, b), 0) if b < d else ((a, d), 8)
-        return ((-a, -b), 3) if b > d else ((-a, -d), 11)
-    if ub > ud:
-        if b < 0:
-            return ((b, -d), 5) if -d < a else ((b, a), 9)
-        return ((-b, d), 2) if d < -a else ((-b, -a), 6)
-    if d < 0:
-        return ((d, a), 1) if a < -b else ((d, -b), 7)
-    return ((-d, -a), 4) if -a < b else ((-d, b), 10)
-
-
-# _POSITION[j]: the place of (a, b) in orbit_of(rep).elements, which lists
-# r^0..r^5 of rep and then their s-images, when rep is image j of (a, b):
-# rep = r^j (a, b) puts (a, b) at r^-j rep, and rep = r^i s (a, b) at s r^-i rep
-_POSITION = (0, 5, 4, 3, 2, 1, 6, 11, 10, 9, 8, 7)
-
-
 def hex_normal_form(poly, n):
     """Canonical form of poly * [w13, w23] in the quotient by the relators.
 
-    One pass over the terms: a monomial off the degenerate lines finds its
-    orbit rep and its place in the orbit from _least, one on them from
-    orbit_of; c times the element's sparse Smith row is added to its
-    orbit's coordinates, which are reduced mod the moduli at the end.
+    One pass over the terms: _least gives each monomial's orbit rep and
+    image index, the index picks its row among its shape's sparse Smith
+    rows, and c times that row is added to its orbit's coordinates, which
+    are reduced mod the moduli at the end.
     """
     check_sphere_dimension(n)
     parity = n % 2
-    twelve_rows, twelve_moduli = _SHAPE_ROWS[("twelve", parity)]
-    blocks = {}  # rep -> (coordinates in the Smith basis, moduli)
+    blocks = {}  # rep -> (coordinates in the Smith basis, rows, moduli)
     for (a, b), c in poly.terms.items():
-        if on_degenerate_line(a, b):
-            orbit = orbit_of(a, b)
-            rep = orbit.rep
-            rows, moduli = _SHAPE_ROWS[(_shape(orbit), parity)]
-            row = rows[orbit.elements.index((a, b))]
-        else:
-            rep, j = _least(a, b)
-            moduli = twelve_moduli
-            row = twelve_rows[_POSITION[j]]
+        rep, j = _least(a, b)
         block = blocks.get(rep)
         if block is None:
-            block = blocks[rep] = ([0] * len(moduli), moduli)
+            rows, moduli = _SHAPE_ROWS[(_shape(rep), parity)]
+            block = blocks[rep] = ([0] * len(moduli), rows, moduli)
         y = block[0]
-        for i, v in row:
+        for i, v in block[1][j]:
             y[i] += c * v
     orbits = {}
-    for rep, (y, moduli) in blocks.items():
+    for rep, (y, _, moduli) in blocks.items():
         if any(moduli):
             y = [v % m if m else v for v, m in zip(y, moduli)]
         orbits[rep] = tuple(zip(y, moduli))

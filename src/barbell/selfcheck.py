@@ -214,13 +214,12 @@ def check_relator_family_equivalence(kmax):
         derived = {}
         hard = {}
         for (ab, rel) in whitehead.derive_R_relators(n, win):
+            rep = orbit_of(*ab).rep
             poly = basis_change_12_to_13(rel.triple_poly())
             if not poly.is_zero():
-                rep = orbit_of(*ab).rep
                 derived.setdefault(rep, []).append(poly)
             kr = hexagon.k_relator(ab[0], ab[1], n)
             if not kr.is_zero():
-                rep = orbit_of(*ab).rep
                 hard.setdefault(rep, []).append(kr)
         if set(derived) != set(hard):
             raise CheckFailure("orbit sets differ at n=%d" % n)

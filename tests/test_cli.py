@@ -590,7 +590,7 @@ def test_normal_form_leaf_examples_cover_every_case():
     for n in (3, 4):
         assert any(m > 1 and v for (_, n_), nf in zip(_LEAF_EXAMPLES, forms) if n_ == n
                    for cs in nf.orbits.values() for v, m in cs), n
-    assert {hexagon._shape(orbit_of(*rep)) for nf in forms for rep in nf.orbits} == {
+    assert {hexagon._shape(rep) for nf in forms for rep in nf.orbits} == {
         "origin", "vertex", "edge", "twelve"}
 
 

@@ -32,6 +32,14 @@ HEX = _payload([
     {"e1": 2, "e2": -1, "c": "1"},
     {"e1": -2, "e2": 5, "c": "123456789012345678901234567890"},
 ])
+# monomials near 10^30 on all six degenerate lines: the origin, the
+# vertex-six orbits of (T, 0) and (U, 0) and the edge-six orbits of (T, 2T)
+# and (U, 2U), three of them met at more than one monomial
+_T, _U = 10 ** 30 + 7, 2 * 10 ** 30 - 3
+LINES = _payload([{"e1": a, "e2": b, "c": c} for (a, b), c in [
+    ((_T, 0), "3"), ((0, -_T), "-5"), ((_T, _T), "2"), ((-_U, 0), "7"), ((0, _U), "-1"),
+    ((_T, -_T), "4"), ((_T, 2 * _T), "-6"), ((2 * _T, _T), "123456789012345678901234567890"),
+    ((-_U, -2 * _U), "9"), ((2 * _U, _U), "-2"), ((-_U, _U), "1"), ((0, 0), "1")]])
 CHART = _payload([{"e1": 3, "e2": 1, "c": "1"}, {"e1": -2, "e2": 4, "c": "-5"},
                   {"e1": 0, "e2": 0, "c": "2"}])
 POLY1 = _payload([{"e": 2, "c": "1"}, {"e": 0, "c": "-1"}, {"e": -3, "c": "4"},
@@ -128,6 +136,9 @@ GOLDEN = [
     # the quotient structure as JSON: free rank and the torsion list
     (["lambda", "structure", "--w0", "5", "--n", "4", "--window=-20,20", "--format", "json"],
      "13f76ec29e258b7e636a7249a56e1fbff4d52336c4221c0478fd423c64c70c3b"),
+    # a W3 normal form whose monomials all lie on the degenerate lines
+    (["hex", "reduce", "--n", "4", "--format", "json", "--poly", LINES],
+     "2c1de1b864582906dbdb7377151e5b3e33eaf0097bdf88797758b4c44c770d02"),
 ]
 
 

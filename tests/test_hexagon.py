@@ -13,6 +13,11 @@ from barbell.intlat import (IntegerRowSpan, IntMatrix, QuotientStructure, cokern
 from barbell.laurent import LaurentPoly2
 
 
+# the origin and the six degenerate lines, as maps of a parameter t
+_LINES = (lambda t: (0, 0), lambda t: (t, 0), lambda t: (0, t), lambda t: (t, t),
+          lambda t: (t, -t), lambda t: (t, 2 * t), lambda t: (2 * t, t))
+
+
 def bfs_orbit(a, b):
     """Reference orbit: closure of (a, b) under r_map and s_map, then the
     documented order (r^0..r^5 of the least point, then their s-images)."""
@@ -54,48 +59,67 @@ def test_orbit_of_matches_bfs_reference():
 
 
 def test_normal_form_reduces_each_orbit_block_once(monkeypatch):
-    # orbit_of runs once for each monomial on a degenerate line and never
-    # for the others, and each orbit met gives one block
-    calls = []
-    monkeypatch.setattr(hexagon, "orbit_of", lambda a, b: calls.append((a, b)) or orbit_of(a, b))
+    # hex_normal_form never runs orbit_of or on_degenerate_line, and looks a
+    # shape up once for each orbit it meets, not once for each monomial
+    def refuse(a, b):
+        raise AssertionError("hex_normal_form called orbit_of or on_degenerate_line")
+
+    shape, shapes = hexagon._shape, []
+    monkeypatch.setattr(hexagon, "orbit_of", refuse)
+    monkeypatch.setattr(hexagon, "on_degenerate_line", refuse)
+    monkeypatch.setattr(hexagon, "_shape", lambda rep: shapes.append(rep) or shape(rep))
+    # eight monomials on all six lines, in six orbits
     degenerate = LaurentPoly2({(0, 0): 2, (3, 0): -1, (0, 3): 4, (2, 2): 1, (-5, 5): 3,
                                (2, 4): -7, (4, 2): 1, (-1, -2): 5})
     polys = [w3(delta(k)) for k in (4, 9, 25)]
     polys.append(polys[0] + polys[1] + polys[2] + degenerate)
     polys.append(degenerate)
     for poly in polys:
-        want = [mono for mono in poly.terms if on_degenerate_line(*mono)]
-        calls.clear()
+        reps = [orbit_of(*mono).rep for mono in poly.terms]
+        shapes.clear()
         nf = hex_normal_form(poly, 3)
-        assert calls == want
-        assert set(nf.orbits) <= {orbit_of(*mono).rep for mono in poly.terms}
-    assert len(calls) == 8
+        assert sorted(shapes) == sorted(set(reps))
+        assert nf == per_orbit_normal_form(poly, 3)
+    assert len(shapes) == 6
+
+
+def _image(a, b, j):
+    """Image j of (a, b): r^j (a, b) for j < 6, then r^(j-6) s (a, b)."""
+    if j >= 6:
+        a, b = s_map(a, b)
+    for _ in range(j % 6):
+        a, b = r_map(a, b)
+    return a, b
 
 
 def test_least_matches_orbit_of():
+    # every point: the origin, the six degenerate lines and off them
     big = 10 ** 40
     rng = random.Random(27)
     points = [(a, b) for a in range(-90, 91) for b in range(-90, 91)]
     points += [(rng.randrange(-big, big), rng.randrange(-big, big)) for _ in range(2000)]
     points += [(big + 1, big), (-big, 2 * big + 1), (big, -big + 1), (3 * big, big)]
-    generic = 0
+    points += [line(t) for line in _LINES for t in (big, -big, 3 * big + 1, -7 * big - 3)]
+    degenerate = 0
     for a, b in points:
-        if on_degenerate_line(a, b):
-            continue
-        generic += 1
-        orbit = orbit_of(a, b)
+        degenerate += on_degenerate_line(a, b)
         rep, j = hexagon._least(a, b)
-        assert rep == orbit.rep, (a, b)
-        assert orbit.elements[hexagon._POSITION[j]] == (a, b), (a, b)
-    assert generic >= 31860
+        assert rep == orbit_of(a, b).rep, (a, b)
+        assert _image(a, b, j) == rep, (a, b, j)
+    assert degenerate == 901 + 28  # in the grid, and at 10^40 scale
 
 
 def test_least_picks_every_image():
-    # each of the twelve images is the least one for some point
-    seen = {hexagon._least(a, b)[1] for a in range(-9, 10) for b in range(-9, 10)
-            if not on_degenerate_line(a, b)}
-    assert seen == set(range(12))
-    assert sorted(hexagon._POSITION) == list(range(12))
+    # each of the twelve images is the least one for some point, and the
+    # shape table has a row for exactly the indices _least gives on a shape
+    points = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+    points += [line(t) for line in _LINES for t in (1, -1, 7, -10 ** 30, 10 ** 30 + 1)]
+    seen = {}
+    for a, b in points:
+        seen.setdefault(reference_shape(orbit_of(a, b)), set()).add(hexagon._least(a, b)[1])
+    assert seen["twelve"] == set(range(12))
+    for (shape, parity), (rows, _) in hexagon._SHAPE_ROWS.items():
+        assert set(rows) == seen[shape], (shape, parity)
 
 
 def test_orbit_of_unit_hexagon():
@@ -199,25 +223,42 @@ def test_structure_classification_sweep():
                 assert even == QuotientStructure(4), orbit.rep
 
 
+def reference_shape(orbit):
+    """An orbit's shape from orbit_of alone: a six-orbit is a vertex orbit
+    iff it meets the axis b = 0, and an edge orbit otherwise."""
+    if orbit.otype != "six":
+        return orbit.otype
+    return "vertex" if any(b == 0 for _, b in orbit.elements) else "edge"
+
+
 # one orbit of each shape
 SHAPE_REPS = {"origin": orbit_of(0, 0), "vertex": orbit_of(-1, 0), "edge": orbit_of(-1, 1),
               "twelve": orbit_of(-2, 1)}
+# (shape, n) -> the sparse Smith rows of SHAPE_REPS[shape] keyed by each
+# element's index in orbit_of's listing, and the moduli that are not 1
+POSITION_ROWS = {(shape, n): hexagon._sparse_rows(*hexagon._smith_coordinates(orbit, n),
+                                                  range(len(orbit.elements)))
+                 for shape, orbit in SHAPE_REPS.items() for n in range(3, 7)}
 
 
 def test_shape_table_matches_per_orbit_smith_form():
-    assert all(hexagon._shape(orbit) == shape for shape, orbit in SHAPE_REPS.items())
+    assert all(reference_shape(orbit) == shape for shape, orbit in SHAPE_REPS.items())
     rep_snf = {(shape, n): hexagon._smith_coordinates(orbit, n)
                for shape, orbit in SHAPE_REPS.items() for n in range(3, 7)}
     orbits = {orbit_of(a, b) for a in range(-30, 31) for b in range(-30, 31)}
     for orbit in orbits:
-        shape = hexagon._shape(orbit)
+        shape = reference_shape(orbit)
+        assert hexagon._shape(orbit.rep) == shape, orbit.rep
         for n in range(3, 7):
             d, _, v = smith_normal_form(orbit_relators(orbit, n))
             diag = d.diagonal() + [0] * len(orbit.elements)
             want = (v, tuple(diag[:len(orbit.elements)]))
             assert rep_snf[(shape, n)] == want, (orbit.rep, n)
-            assert hexagon._SHAPE_ROWS[(shape, n % 2)] == hexagon._sparse_rows(*want), (
-                orbit.rep, n)
+            rows, moduli = hexagon._sparse_rows(*want, range(len(orbit.elements)))
+            table_rows, table_moduli = hexagon._SHAPE_ROWS[(shape, n % 2)]
+            assert table_moduli == moduli, (orbit.rep, n)
+            for i, el in enumerate(orbit.elements):
+                assert table_rows[hexagon._least(*el)[1]] == rows[i], (el, n)
             want = cokernel_structure(orbit_relators(orbit, n))
             assert orbit_structure(orbit, n) == want, (orbit.rep, n)
 
@@ -231,7 +272,8 @@ def test_sparse_rows_match_shape_table():
             keep = [j for j, m in enumerate(moduli) if m != 1]
             assert kept == tuple(moduli[j] for j in keep), (shape, n)
             assert len(rows) == v.rows == v.cols == len(moduli), (shape, n)
-            for i, row in enumerate(rows):
+            for i, el in enumerate(orbit.elements):
+                row = rows[hexagon._least(*el)[1]]
                 coords = [c for c, _ in row]
                 assert coords == sorted(set(coords)) and all(a for _, a in row), (shape, n, i)
                 dense = [0] * len(keep)
@@ -287,14 +329,15 @@ def test_normal_form_matches_dense_reference():
             if n % 2 == 0:
                 negative_torsion += negatives
             assert hex_normal_form(poly, n).orbits == want, (n, terms)
-            shapes.update(hexagon._shape(orbit_of(*mono)) for mono in poly.terms)
+            shapes.update(reference_shape(orbit_of(*mono)) for mono in poly.terms)
     assert shapes == {"origin", "vertex", "edge", "twelve"}
     assert crowded and negative_torsion
 
 
 def per_orbit_normal_form(poly, n):
     """Reference: each orbit block of poly reduced once, through orbit_of
-    and its shape's sparse Smith rows, looking each orbit element up in
+    and the sparse Smith rows of its shape's sample orbit, each orbit
+    element placed by its index in orbit_of's listing and looked up in
     the terms."""
     terms = poly.terms
     seen = set()
@@ -303,20 +346,18 @@ def per_orbit_normal_form(poly, n):
         if mono in seen:
             continue
         orbit = orbit_of(*mono)
-        rows, moduli = hexagon._SHAPE_ROWS[(hexagon._shape(orbit), n % 2)]
+        rows, moduli = POSITION_ROWS[(reference_shape(orbit), n)]
         y = [0] * len(moduli)
-        for el, row in zip(orbit.elements, rows):
+        for i, el in enumerate(orbit.elements):
             c = terms.get(el)
             if c:
                 seen.add(el)
-                for j, a in row:
+                for j, a in rows[i]:
                     y[j] += c * a
         out[orbit.rep] = tuple((v % m if m else v, m) for v, m in zip(y, moduli))
     return hexagon.HexNormalForm(out)
 
 
-_LINES = (lambda t: (0, 0), lambda t: (t, 0), lambda t: (0, t), lambda t: (t, t),
-          lambda t: (t, -t), lambda t: (t, 2 * t), lambda t: (2 * t, t))
 _points = st.one_of(
     st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
     st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30)),

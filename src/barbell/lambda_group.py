@@ -105,9 +105,7 @@ def lambda_reduce(p, ctx):
     killed = ctx.killed
     free = LaurentPoly1((w0 - 1 - k, fold_sign * c) if 2 * k < w0 - 1 else (k, c)
                         for k, c in p.terms.items() if k not in killed)
-    bit = 0
-    if n % 2 == 0 and (w0 - 1) % 2 == 0:
-        bit = free.terms.pop((w0 - 1) // 2, 0) & 1
+    bit = free.terms.pop((w0 - 1) // 2, 0) if ctx.has_torsion() else 0
     return LambdaElement(ctx, free, bit)
 
 

@@ -16,13 +16,10 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 _END = object()  # closes the last run in Terms.sum
 
 
-def json_int(term, key):
-    """term[key] of a JSON payload term, an object that must hold key: an
-    integer, or a decimal string of an optional "-" and ASCII digits only;
-    never bool, float, "+1", "1_0" or " 1"."""
-    if not isinstance(term, dict) or key not in term:
-        raise DomainError("each term must be an object with an integer %s" % key)
-    value = term[key]
+def json_int(value, key):
+    """The int that a JSON payload term holds under key: an integer, or a
+    decimal string of an optional "-" and ASCII digits only; never bool,
+    float, "+1", "1_0" or " 1"."""
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -139,12 +136,18 @@ class Terms:
 
     @classmethod
     def from_json(cls, obj):
-        fields = cls.FIELDS
-        if len(fields) == 1:
-            return cls((json_int(t, fields[0]), json_int(t, "c"))
-                       for t in obj.get("terms", []))
-        return cls((tuple([json_int(t, f) for f in fields]), json_int(t, "c"))
-                   for t in obj.get("terms", []))
+        keys, one = cls.FIELDS + ("c",), len(cls.FIELDS) == 1
+        pairs = []
+        for t in obj.get("terms", []):
+            t = t if isinstance(t, dict) else {}  # a non-object lacks every key
+            vals = []
+            for key in keys:  # FIELDS, then c: the first error wins
+                if key not in t:
+                    raise DomainError("each term must be an object with an integer %s" % key)
+                vals.append(json_int(t[key], key))
+            c = vals.pop()
+            pairs.append((vals[0] if one else tuple(vals), c))
+        return cls(pairs)
 
 
 class LaurentPoly1(Terms):

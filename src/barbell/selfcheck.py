@@ -14,6 +14,11 @@ injective, so each identity holds there exactly when it holds for the G
 classes, with one term per D instead of four.  The delta expansion
 check still compares the G-valued f_closed with its independent 8-term
 G expansion, so it also covers DClass.expand.
+
+The relator oracles span term dicts keyed by monomial.  Normal-form
+soundness spans the k_relator instances of a box that holds every orbit
+its samples meet, so it shares no rows with orbit_relators, from which
+hex_normal_form's shape table is derived.
 """
 
 import random
@@ -78,7 +83,10 @@ def check_snf_certificate(kmax):
             raise CheckFailure("U*M*V != D")
         # a square matrix is unimodular iff its rows span Z^n
         for x in (u, v):
-            if not IntegerRowSpan(x.data).equals(IntegerRowSpan(IntMatrix.identity(x.rows).data)):
+            spans = IntegerRowSpan(x.data), IntegerRowSpan(IntMatrix.identity(x.rows).data)
+            if any(row[j] <= 0 for span in spans for j, row in span.rows.items()):
+                raise CheckFailure("echelon pivot not positive")
+            if not spans[0].equals(spans[1]):
                 raise CheckFailure("transform not unimodular")
         diag = [x for x in dd.diagonal() if x]
         for a, b in zip(diag, diag[1:]):
@@ -116,12 +124,10 @@ def check_lambda_oracle(kmax):
             m, exps = relator_matrix(ctx, -20, 20)
             if lambda_structure(ctx, (-20, 20)) != cokernel_structure(m):
                 raise CheckFailure("structure at W0=%d n=%d" % (w0, n))
-            span = IntegerRowSpan(m.data)
-            idx = {k: i for i, k in enumerate(exps)}
+            span = IntegerRowSpan(dict(zip(exps, row)) for row in m.data)
             for _ in range(SAMPLES):
                 p = _rand_poly1(rng)
-                vec = {idx[k]: c for k, c in p.terms.items()}
-                if lambda_reduce(p, ctx).is_zero() != span.contains(vec):
+                if lambda_reduce(p, ctx).is_zero() != span.contains(p.terms):
                     raise CheckFailure("closed form and SNF membership disagree at "
                                        "W0=%d n=%d on %r" % (w0, n, p))
 
@@ -224,10 +230,8 @@ def check_relator_family_equivalence(kmax):
         if set(derived) != set(hard):
             raise CheckFailure("orbit sets differ at n=%d" % n)
         for rep in derived:
-            orbit = orbit_of(*rep)
-            idx = {v: i for i, v in enumerate(orbit.elements)}
-            spans = [IntegerRowSpan({idx[mono]: c for mono, c in poly.terms.items()}
-                                    for poly in fam) for fam in (derived[rep], hard[rep])]
+            spans = [IntegerRowSpan(poly.terms for poly in fam)
+                     for fam in (derived[rep], hard[rep])]
             if not spans[0].equals(spans[1]):
                 raise CheckFailure("spans differ on orbit %r at n=%d" % (rep, n))
 
@@ -275,8 +279,15 @@ def check_relator_orbit_locality(kmax):
 
 
 def check_normal_form_soundness(kmax):
+    # Every monomial of x, y and of a perturbing k(p, q), p and q in [-4, 4],
+    # has max(|a|, |b|, |a-b|) <= 8.  An orbit's coordinates are +-a, +-b and
+    # +-(a-b), so every orbit that x - y meets lies inside [-8, 8]^2, and each
+    # relator lies in one orbit, so the box's relators span the full relator
+    # family of every such orbit.
     rng = random.Random(SEED + 9)
     for n in (3, 4):
+        span = IntegerRowSpan(hexagon.k_relator(p, q, n).terms
+                              for p in range(-8, 9) for q in range(-8, 9))
         for _ in range(40):
             x, y = _rand_poly2(rng, -4, 4), _rand_poly2(rng, -4, 4)
             if rng.randrange(2):
@@ -285,21 +296,7 @@ def check_normal_form_soundness(kmax):
                     hexagon.k_relator(rng.randrange(-4, 5), rng.randrange(-4, 5), n)
                     .scale(rng.randrange(-2, 3)) for _ in range(rng.randrange(0, 3))])
             same_nf = hex_normal_form(x, n) == hex_normal_form(y, n)
-            diff = x - y
-            by_orbit = {}
-            for mono, c in diff.terms.items():
-                by_orbit.setdefault(orbit_of(*mono), {})[mono] = c
-            member = True
-            for orbit, monos in by_orbit.items():
-                idx = {v: i for i, v in enumerate(orbit.elements)}
-                span = IntegerRowSpan(orbit_relators(orbit, n).data)
-                vec = [0] * len(orbit.elements)
-                for mono, c in monos.items():
-                    vec[idx[mono]] += c
-                if not span.contains(vec):
-                    member = False
-                    break
-            if same_nf != member:
+            if same_nf != span.contains((x - y).terms):
                 raise CheckFailure("normal-form equality disagrees with span membership "
                                    "(n=%d)" % n)
 

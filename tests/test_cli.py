@@ -714,12 +714,14 @@ def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("text", "7c4a914f87a09565fe6a4b5ede00e69b508fe232f8b3bbcd39eedac194f8416b"),
-    ("json", "40884f1d3663b4342775890921dc38b0b878cc950bad56bcc81bab5ddf4a6057"),
+    ("text", "71b79b3e8672c072d1220a79ad29143a30711c42fcaaf4845573f94ab3631dab"),
+    ("json", "0e69d3a72fa46adba047bd8dba639f3d77f2a86cf9f63d660b1540688b9e7661"),
 ])
 def test_selfcheck_failure_report_bytes(capsys, monkeypatch, fmt, digest):
-    # two faults: a relator escaping its orbit fails one check and crashes
-    # the three that index its orbit; a raising cover_pullback crashes one
+    # two faults: a relator escaping its orbit fails orbit-locality, relator
+    # family equivalence and normal-form soundness, whose spans are keyed by
+    # monomial, and crashes torsion factors, which indexes its orbit; a
+    # raising cover_pullback crashes one
     real = hexagon.k_relator
 
     def corrupt(p, q, n):

@@ -7,6 +7,8 @@ recomputed and the contract change is recorded.
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +150,9 @@ def test_golden_stdout(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_states_the_golden_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.search(r"stdout of\s+(\d+)\s+fixed\s+argv", readme)
+    assert stated and int(stated.group(1)) == len(GOLDEN)

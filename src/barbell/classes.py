@@ -144,17 +144,14 @@ def _level_form(k, level, p, q):
     return "IIb" if p + q >= k else "IIbe"
 
 
-def _form_class(form, p, q):
-    return DClass.zero() if form is None else DClass(_roman(form, p, q, 1))
-
-
 def f_levels_d(k, p, q):
     """The level-L entries of the factored family for L = 1..k-1 in the D
     basis, by the per-level case table, one class built per distinct case:
     levels in the same case share one DClass object."""
     _check_fk_args(k, p, q)
     forms = [_level_form(k, level, p, q) for level in range(1, k)]
-    built = {form: _form_class(form, p, q) for form in dict.fromkeys(forms)}
+    built = {form: DClass(_roman(form, p, q, 1) if form else ())
+             for form in dict.fromkeys(forms)}
     return tuple(map(built.__getitem__, forms))
 
 

@@ -13,6 +13,7 @@ lines and fk's CSV rows as functions, each called for its format only.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -135,15 +136,11 @@ def _cmd_hex(args):
     return lambda: {"dir": args.dir, "result": out.to_json()}, lambda: ["result: %r" % out]
 
 
-def _fk_matrix(k):
-    return {(p, q): f_closed(k, p, q) for p in range(1, k) for q in range(1, k)}
-
-
 def _cmd_fk(args):
     k = args.k
     if k < 2:
         raise DomainError("--k must be >= 2 (F_k needs k >= 2)")
-    mat = _fk_matrix(k)
+    mat = {(p, q): f_closed(k, p, q) for p in range(1, k) for q in range(1, k)}
     # the skew verdict and the sum are printed in every format
     if args.check_skew:
         ok = all((mat[(p, q)] + mat[(q, p)]).is_zero()
@@ -257,17 +254,13 @@ class InternalInvariantError(Exception):
         self.text = text
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    # a fixed width, not the terminal's, so that --help prints the same bytes anywhere
-    def __init__(self, prog):
-        super().__init__(prog, width=78)
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors leave by the one exit-2 path, and help has one width;
     # subparsers inherit this class
     def __init__(self, **kwargs):
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+        # a fixed width, not the terminal's, so that --help prints the same bytes anywhere
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78),
+                         **kwargs)
 
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))

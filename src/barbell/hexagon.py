@@ -94,21 +94,18 @@ def orbit_relators(orbit, n):
     indexed by the orbit's canonical element order.
     """
     idx = {v: i for i, v in enumerate(orbit.elements)}
-    rows = []
-    seen = set()
+    rows = {}  # the distinct rows, each with a positive lead, in first-seen order
     for p, q in orbit.elements:
-        rel = k_relator(p, q, n)
         row = [0] * len(orbit.elements)
-        for mono, c in rel.terms.items():
+        for mono, c in k_relator(p, q, n).terms.items():
+            if mono not in idx:
+                raise AssertionError("relator at (%d, %d) touches %r outside the orbit of %r"
+                                     % (p, q, mono, orbit.rep))
             row[idx[mono]] += c
-        if not any(row):
-            continue
-        lead = next(x for x in row if x)
-        key = tuple(-x for x in row) if lead < 0 else tuple(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(key)
+        lead = next((x for x in row if x), 0)
+        if lead:
+            rows[tuple(-x for x in row) if lead < 0 else tuple(row)] = None
+    rows = list(rows)
     return IntMatrix(len(rows), len(orbit.elements), rows)
 
 

@@ -287,11 +287,9 @@ class IntegerRowSpan:
             _subtract(v, v[j] // row[j], row)
         return True
 
-    def covers(self, other):
-        return all(self.contains(r) for r in other.rows.values())
-
     def equals(self, other):
-        return self.covers(other) and other.covers(self)
+        return (all(self.contains(r) for r in other.rows.values())
+                and all(other.contains(r) for r in self.rows.values()))
 
 
 def rank_over_rationals(m):

@@ -71,10 +71,7 @@ class LambdaElement:
     __add__ = add
 
     def __sub__(self, other):
-        if self.ctx != other.ctx:
-            raise ValueError("mismatched contexts")
-        return LambdaElement(self.ctx, self.free_part - other.free_part,
-                             (self.torsion_bit - other.torsion_bit) & 1)
+        return self.add(LambdaElement(other.ctx, -other.free_part, other.torsion_bit))
 
     def __eq__(self, other):
         return (isinstance(other, LambdaElement) and self.ctx == other.ctx
@@ -178,11 +175,7 @@ def w2_alpha(i, ctx):
 
 def w2_arc_reduce(p):
     """Normal form in the arc target Z[t^{+-1}] / <t^0>: drop the t^0 term."""
-    if 0 not in p.terms:
-        return p
-    d = dict(p.terms)
-    del d[0]
-    return LaurentPoly1(d)
+    return LaurentPoly1({k: c for k, c in p.terms.items() if k})
 
 
 class AlphaCombination(Terms):

@@ -1,7 +1,7 @@
 """Sparse term algebra over arbitrary-precision integers.
 
 `combine` sums (key, coeff) pairs into key -> coeff with no zero ever
-stored; every sparse class in the package normalises through it.
+stored; every sparse class but DClass normalises through it.
 `Terms` is the free Z-module arithmetic on such dicts.  Here it backs
 the Laurent polynomials in one variable t and in two commuting
 invertible variables (t1, t2).
@@ -119,9 +119,6 @@ class Terms:
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def _key_tuples(self):
         # (key fields as a tuple, coeff) in key order

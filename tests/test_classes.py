@@ -124,7 +124,7 @@ _D_TERMS = st.lists(st.tuples(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                               st.integers(-5, 5)), max_size=8)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_D_TERMS, _D_TERMS)
 def test_d_class_expansion_is_additive(a, b):
     x, y = DClass(a), DClass(b)

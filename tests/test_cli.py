@@ -714,14 +714,15 @@ def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("text", "71b79b3e8672c072d1220a79ad29143a30711c42fcaaf4845573f94ab3631dab"),
-    ("json", "0e69d3a72fa46adba047bd8dba639f3d77f2a86cf9f63d660b1540688b9e7661"),
+    ("text", "7f74cb155b73e4d1cdf6dc0fb230a6d65021e006ec840fe892472c99f38d3ddb"),
+    ("json", "38a221eb1ddb58dde762330476eab850c3cd1a7473b26e36a2342426782ef60a"),
 ])
 def test_selfcheck_failure_report_bytes(capsys, monkeypatch, fmt, digest):
     # two faults: a relator escaping its orbit fails orbit-locality, relator
     # family equivalence and normal-form soundness, whose spans are keyed by
-    # monomial, and crashes torsion factors, which indexes its orbit; a
-    # raising cover_pullback crashes one
+    # monomial, and crashes torsion factors, where orbit_relators raises an
+    # AssertionError naming the relator's point, the escaping monomial and
+    # the orbit's rep; a raising cover_pullback crashes one
     real = hexagon.k_relator
 
     def corrupt(p, q, n):

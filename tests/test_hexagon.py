@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,7 +369,7 @@ _monomials = st.builds(lambda p, k: (lambda els: els[k % len(els)])(orbit_of(*p)
 _coefficients = st.one_of(st.integers(-5, 5), st.integers(-10 ** 30, 10 ** 30))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(_monomials, _coefficients), max_size=30), st.integers(3, 6))
 def test_normal_form_matches_per_orbit_reference(pairs, n):
     poly = LaurentPoly2(pairs)
@@ -384,6 +385,19 @@ def test_relator_orbit_locality():
             for q in range(-10, 11):
                 allowed = set(orbit_of(p, q).elements)
                 assert set(k_relator(p, q, n).terms) <= allowed
+
+
+def test_orbit_relators_names_a_relator_that_leaves_its_orbit(monkeypatch):
+    real = hexagon.k_relator
+
+    def escaping(p, q, n):
+        rel = real(p, q, n)
+        return rel + LaurentPoly2.monomial(99, 98) if (p, q) == (2, 1) else rel
+
+    monkeypatch.setattr(hexagon, "k_relator", escaping)
+    with pytest.raises(AssertionError) as exc:
+        orbit_relators(orbit_of(2, 1), 3)
+    assert str(exc.value) == "relator at (2, 1) touches (99, 98) outside the orbit of (-2, -1)"
 
 
 def test_relators_normalize_to_zero():

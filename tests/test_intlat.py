@@ -322,6 +322,15 @@ def test_integer_row_span_gcd_combination():
     assert not span.contains([0, 1])
 
 
+def test_integer_row_span_equals():
+    # strict containment is unequal both ways; two bases of one lattice are equal
+    small, big = IntegerRowSpan([[2]]), IntegerRowSpan([[1]])
+    assert not small.equals(big) and not big.equals(small)
+    a = IntegerRowSpan([[2, 0, 4], [0, 3, 0]])
+    b = IntegerRowSpan([[2, 3, 4], [-2, 0, -4]])
+    assert a.equals(b) and b.equals(a)
+
+
 def test_quotient_structure_validation():
     with pytest.raises(ValueError):
         QuotientStructure(1, (3, 2))

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -146,8 +147,18 @@ def test_reduce_additive_and_idempotent():
             q = LaurentPoly1({rng.randrange(-9, 10): rng.randrange(-6, 7)
                               for _ in range(4)})
             assert lambda_reduce(p + q, ctx) == lambda_reduce(p, ctx) + lambda_reduce(q, ctx)
+            assert lambda_reduce(p - q, ctx) == lambda_reduce(p, ctx) - lambda_reduce(q, ctx)
             nf = lambda_reduce(p, ctx)
             assert lambda_reduce(nf.free_part, ctx).free_part == nf.free_part
+
+
+def test_mismatched_contexts_do_not_mix():
+    p = LaurentPoly1({3: 1, 2: 1})
+    x, y = lambda_reduce(p, LambdaContext(5, 4)), lambda_reduce(p, LambdaContext(5, 3))
+    for a, b in ((x, y), (y, x)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="^mismatched contexts$"):
+                op(a, b)
 
 
 def test_arc_reduce():

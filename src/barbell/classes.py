@@ -236,7 +236,8 @@ def independence_rank(classes, n):
     """
     if not classes:
         raise DomainError("need at least one class")
-    frees = [hex_normal_form(w3(x), n).free_coordinates() for x in classes]
+    frees = [{(rep, pos): v for rep, coords in hex_normal_form(w3(x), n).orbits.items()
+              for pos, (v, m) in enumerate(coords) if m == 0 and v} for x in classes]
     col_index = {c: i for i, c in enumerate(sorted(set().union(*frees)))}
     rows = [{col_index[key]: val for key, val in f.items()} for f in frees]
     return len(IntegerRowSpan(rows).rows), len(col_index), rows

@@ -34,8 +34,6 @@ def _load(cls, text, what):
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DomainError("bad %s JSON: %s" % (what, exc))
-    if not isinstance(obj, dict) or not isinstance(obj.get("terms", []), list):
-        raise DomainError('bad %s payload: expected an object with a "terms" list' % what)
     try:
         return cls.from_json(obj)
     except DomainError as exc:

@@ -199,15 +199,6 @@ class HexNormalForm:
     def is_zero(self):
         return not self.orbits
 
-    def free_coordinates(self):
-        """Free-part coordinates keyed (rep, position), torsion dropped."""
-        out = {}
-        for rep, coords in sorted(self.orbits.items()):
-            for pos, (v, m) in enumerate(coords):
-                if m == 0 and v:
-                    out[(rep, pos)] = v
-        return out
-
     def __eq__(self, other):
         return isinstance(other, HexNormalForm) and self.orbits == other.orbits
 

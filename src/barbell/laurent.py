@@ -60,10 +60,6 @@ class Terms:
         self.terms = combine(terms)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def sum(cls, items):
         """Sum of an iterable of cls instances, summed in one combine pass.
 
@@ -133,9 +129,12 @@ class Terms:
 
     @classmethod
     def from_json(cls, obj):
+        terms = obj.get("terms", []) if isinstance(obj, dict) else None
+        if not isinstance(terms, list):
+            raise DomainError('expected an object with a "terms" list')
         keys, one = cls.FIELDS + ("c",), len(cls.FIELDS) == 1
         pairs = []
-        for t in obj.get("terms", []):
+        for t in terms:
             t = t if isinstance(t, dict) else {}  # a non-object lacks every key
             vals = []
             for key in keys:  # FIELDS, then c: the first error wins

@@ -60,6 +60,8 @@ class _Elem:
         return not any(self._dicts())
 
     def add(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot add %s to %s" % (type(other).__name__, type(self).__name__))
         if self.n != other.n:
             raise ValueError("mismatched sphere dimension")
         return type(self)(self.n, *[chain(d.items(), e.items())
@@ -167,11 +169,11 @@ class BracketElem(_Elem):
         t3=1 facets, so this is reduction modulo that part of R.
         """
         keep = {k: c for k, c in self.pairs.items() if (k[0], k[1]) == (1, 3)}
-        return BracketElem(self.n, dict(self.triple), keep)
+        return BracketElem(self.n, self.triple, keep)
 
     def triple_poly(self):
         """Triple part as a Laurent polynomial in the (t1, t3) chart."""
-        return LaurentPoly2(dict(self.triple))
+        return LaurentPoly2(self.triple)
 
     def __repr__(self):
         bits = ["%+d*t1^%d*t3^%d[w12,w23]" % (c, a, b)
@@ -188,11 +190,10 @@ def _triple_sign(pair1, pair2, n):
     return _FORWARD_SIGN[(pair2, pair1)] * _parity_sign(n)
 
 
-def bracket(x, y, n=None):
+def bracket(x, y):
     """Whitehead bracket of two degree-n elements on 3 points."""
-    if n is None:
-        n = x.n
-    if x.n != n or y.n != n:
+    n = x.n
+    if y.n != n:
         raise ValueError("mismatched sphere dimension")
     triple, pairs = [], []
     for (i1, j1, a), c1 in x.terms.items():
@@ -258,7 +259,7 @@ def facet_map(facet, x, a=0):
     for (_, _, c0, l), c in x.pairs.items():
         # the bracket is bilinear, so c scales the first factor
         img = bracket(facet_map(facet, DegNElem(n, {(1, 2, c0): c}), a),
-                      facet_map(facet, DegNElem(n, {(1, 2, c0 + l): 1}), a), n)
+                      facet_map(facet, DegNElem(n, {(1, 2, c0 + l): 1}), a))
         triple += img.triple.items()
         pairs += img.pairs.items()
     return BracketElem(n, triple, pairs)
@@ -267,7 +268,7 @@ def facet_map(facet, x, a=0):
 def pair_bracket(alpha, beta, n):
     """The 2-point class [t1^alpha w12, t1^beta w12]."""
     return bracket(DegNElem(n, {(1, 2, alpha): 1}),
-                   DegNElem(n, {(1, 2, beta): 1}), n)
+                   DegNElem(n, {(1, 2, beta): 1}))
 
 
 def derive_R_relators(n, window):

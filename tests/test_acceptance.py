@@ -34,7 +34,7 @@ def test_criterion_01_skew_symmetry():
 def test_criterion_02_total_sum_vanishes():
     t0 = time.time()
     for k in range(2, 31):
-        total = GClass.zero()
+        total = GClass()
         for p in range(1, k):
             for q in range(1, k):
                 total = total + f_closed(k, p, q)
@@ -47,7 +47,7 @@ def test_criterion_03_per_level_consistency():
     for k in range(2, 21):
         for p in range(1, k):
             for q in range(1, k):
-                acc = GClass.zero()
+                acc = GClass()
                 for level in f_levels(k, p, q):
                     acc = acc + level
                 assert acc == f_closed(k, p, q), (k, p, q)
@@ -141,7 +141,7 @@ def _doubling_display(facet, a, b, n):
     else:
         out[(a, a - b)] = out.get((a, a - b), 0) - 1
         out[(b, b - a)] = out.get((b, b - a), 0) + sgn
-    disp = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(1, 3, (b, 0, 0), n), n)
+    disp = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(1, 3, (b, 0, 0), n))
     for key, c in out.items():
         if c:
             disp.triple[key] = disp.triple.get(key, 0) + c
@@ -157,7 +157,7 @@ def test_criterion_11_facet_computations():
                 p = pair_bracket(a, b, n)
                 img = facet_map("t1=0", p)
                 assert img == bracket(deg_n_gen(2, 3, (0, a, 0), n),
-                                      deg_n_gen(2, 3, (0, b, 0), n), n)
+                                      deg_n_gen(2, 3, (0, b, 0), n))
                 assert facet_map("t3=1", p) == p
                 for facet in ("t1=t2", "t2=t3"):
                     display = _doubling_display(facet, a, b, n)

@@ -42,7 +42,7 @@ def _ref_f_level(k, level, p, q):
     if big_p and big_q:
         return d(p, -q)
     if not big_p and not big_q:
-        return GClass.zero()
+        return GClass()
     if big_p:  # q < level
         if p + q >= k:
             return d(p, -q) - d(p - q, q)
@@ -166,7 +166,7 @@ def test_per_level_sums_to_closed_form():
                 column = f_levels(k, p, q)
                 assert type(column) is tuple and len(column) == k - 1
                 shared = {}
-                acc = GClass.zero()
+                acc = GClass()
                 for lvl in range(1, k):
                     level = column[lvl - 1]
                     assert level == _ref_f_level(k, lvl, p, q), (k, lvl, p, q)
@@ -268,7 +268,7 @@ def test_twist_matches_scaled_sum():
 
 def test_closed_form_skew_and_sum():
     for k in range(2, 13):
-        total = GClass.zero()
+        total = GClass()
         for p in range(1, k):
             for q in range(1, k):
                 assert (f_closed(k, p, q) + f_closed(k, q, p)).is_zero()
@@ -318,7 +318,7 @@ def test_twist_validation_and_ones():
         ones = [1] * (k - 1)
         assert twist_class(k, ones, ones).is_zero()
         ek1 = [0] * (k - 2) + [1]
-        acc = GClass.zero()
+        acc = GClass()
         for q in range(1, k):
             acc = acc + f_closed(k, k - 1, q)
         assert twist_class(k, ek1, ones) == acc

@@ -337,6 +337,10 @@ def test_validation_exit_codes(capsys, tmp_path):
             (["lambda", "reduce", "--w0", "1", "--n", "3", "--poly",
               '{"terms": [{"e": true, "c": "1"}]}'],
              "polynomial", "e must be an integer or a decimal string, got True"),
+            # a payload that is not an object with a "terms" list says so
+            (hex_reduce + ['[1]'], "polynomial", 'expected an object with a "terms" list'),
+            (hex_reduce + ['{"terms": {"e1": 0}}'], "polynomial",
+             'expected an object with a "terms" list'),
             # a term that is not an object, or lacks a key, names the key
             (hex_reduce + ['{"terms": [1]}'], "polynomial",
              "each term must be an object with an integer e1"),
@@ -716,7 +720,7 @@ def test_selfcheck_fault_injection_names_check(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt, digest", [
     ("text", "7f74cb155b73e4d1cdf6dc0fb230a6d65021e006ec840fe892472c99f38d3ddb"),
     ("json", "38a221eb1ddb58dde762330476eab850c3cd1a7473b26e36a2342426782ef60a"),
-])
+], ids=["text", "json"])
 def test_selfcheck_failure_report_bytes(capsys, monkeypatch, fmt, digest):
     # two faults: a relator escaping its orbit fails orbit-locality, relator
     # family equivalence and normal-form soundness, whose spans are keyed by

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barbell import DomainError
 from barbell.classes import GClass
 from barbell.lambda_group import AlphaCombination
 from barbell.laurent import LaurentPoly1, LaurentPoly2, json_int
@@ -84,7 +85,7 @@ def test_terms_contract(cls, key, other):
     def rand():
         return cls([(key(rng.randrange(6)), rng.randrange(-4, 5)) for _ in range(8)])
 
-    assert cls({key(0): 0}).terms == {} and cls({key(0): 0}) == cls.zero()
+    assert cls({key(0): 0}).terms == {} and cls({key(0): 0}) == cls()
     assert cls([(key(1), 2), (key(1), -2)]).is_zero()
     for _ in range(50):
         x, y = rand(), rand()
@@ -98,6 +99,10 @@ def test_terms_contract(cls, key, other):
         assert cls.from_json(x.to_json()) == x
     big = cls({key(0): 10 ** 40, key(4): -(10 ** 39 + 7)})
     assert cls.from_json(big.to_json()) == big
+    # the reader owns the payload envelope: an object whose "terms" is a list
+    for bad in ([1], {"terms": "x"}, {"terms": {"e1": 0}}, "x", None):
+        with pytest.raises(DomainError, match='expected an object with a "terms" list'):
+            cls.from_json(bad)
     assert [set(t) for t in big.to_json()["terms"]] == [set(cls.FIELDS) | {"c"}] * 2
     assert repr(cls()) == "0"
     x = cls({key(1): 1})
@@ -111,19 +116,19 @@ def test_terms_contract(cls, key, other):
     for size in range(6):
         xs = [rand() for _ in range(size)]
         total = cls.sum(iter(xs))
-        fold = cls.zero()
+        fold = cls()
         for item in xs:
             fold = fold + item
         assert total == fold
         assert type(total) is cls and all(total.terms.values())
-    assert cls.sum([]) == cls.zero()
+    assert cls.sum([]) == cls()
     with pytest.raises(TypeError):
         cls.sum([x, y])
     # a run of repeated references adds as many copies, streamed once
     for _ in range(20):
         x, y = rand(), rand()
         for xs in ([x, x, x], [x, x, y, x], [y, x, x, x, y, y], [x] * 7 + [x.neg()] * 7):
-            fold = cls.zero()
+            fold = cls()
             for item in xs:
                 fold = fold + item
             total = cls.sum(iter(xs))

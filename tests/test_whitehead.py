@@ -45,7 +45,7 @@ def test_flip_sign_depends_on_parity():
 def test_w_ii_vanishes():
     assert deg_n_gen(1, 1, (2, 0, 0), 3).is_zero()
     # so brackets against a degenerate factor vanish wholesale
-    assert bracket(deg_n_gen(1, 2, n=3), deg_n_gen(3, 3, n=3), 3).is_zero()
+    assert bracket(deg_n_gen(1, 2, n=3), deg_n_gen(3, 3, n=3)).is_zero()
 
 
 def test_index_range_checked():
@@ -87,7 +87,7 @@ def test_bracket_pair_keys_put_point_indices_in_canonical_form():
                     x = deg_n_gen(j, i, tuple(exps), n)
                     exps[j - 1] = b
                     y = deg_n_gen(j, i, tuple(exps), n)
-                    assert BracketElem(n, pairs={(j, i, a, b - a): 1}) == bracket(x, y, n)
+                    assert BracketElem(n, pairs={(j, i, a, b - a): 1}) == bracket(x, y)
     assert BracketElem(4, pairs={(2, 2, 0, 1): 1}).is_zero()
     for bad in ((1, 5, 0, 1), (0, 2, 0, 1), (4, 1, 0, 1)):
         with pytest.raises(DomainError):
@@ -105,7 +105,7 @@ def test_bracket_is_graded_antisymmetric():
     for n in (3, 4):
         for _ in range(200):
             x, y = _rand_deg_n(rng, n), _rand_deg_n(rng, n)
-            assert bracket(x, y, n) == bracket(y, x, n).scale((-1) ** n), (n, x, y)
+            assert bracket(x, y) == bracket(y, x).scale((-1) ** n), (n, x, y)
 
 
 def test_chart_change_sign_agrees_with_the_bracket_layer():
@@ -114,15 +114,15 @@ def test_chart_change_sign_agrees_with_the_bracket_layer():
     for n in (3, 4):
         for a in range(-4, 5):
             for b in range(-4, 5):
-                br = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(2, 3, (0, b, 0), n), n)
+                br = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(2, 3, (0, b, 0), n))
                 assert basis_change_12_to_13(br.triple_poly()) == LaurentPoly2.monomial(a, b)
 
 
 def test_cyclic_identity():
     for n in (3, 4):
-        a = bracket(deg_n_gen(1, 2, n=n), deg_n_gen(2, 3, n=n), n)
-        b = bracket(deg_n_gen(2, 3, n=n), deg_n_gen(3, 1, n=n), n)
-        c = bracket(deg_n_gen(3, 1, n=n), deg_n_gen(1, 2, n=n), n)
+        a = bracket(deg_n_gen(1, 2, n=n), deg_n_gen(2, 3, n=n))
+        b = bracket(deg_n_gen(2, 3, n=n), deg_n_gen(3, 1, n=n))
+        c = bracket(deg_n_gen(3, 1, n=n), deg_n_gen(1, 2, n=n))
         assert a == b == c
         assert a == triple(n, {(0, 0): 1})
 
@@ -144,7 +144,7 @@ def test_shared_index_linking_convention():
     for n in (3, 4):
         for a, b in ((0, 0), (2, -1), (-3, 1)):
             got = bracket(deg_n_gen(1, 3, (a, 0, 0), n),
-                          deg_n_gen(2, 3, (0, b, 0), n), n)
+                          deg_n_gen(2, 3, (0, b, 0), n))
             assert got == triple(n, {(a - b, -b): -1})
 
 
@@ -161,7 +161,7 @@ def test_bracket_bilinear():
                                           rng.randrange(-2, 3)))
                 return el
             x, y, z = rand_elem(), rand_elem(), rand_elem()
-            assert bracket(x.add(y), z, n) == bracket(x, z, n) + bracket(y, z, n)
+            assert bracket(x.add(y), z) == bracket(x, z) + bracket(y, z)
 
 
 def test_t_action_compatibility():
@@ -178,7 +178,7 @@ def test_t_action_compatibility():
                 return el
             x, y = rand_elem(), rand_elem()
             mu = (rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-3, 4))
-            assert bracket(x.act(mu), y.act(mu), n) == bracket(x, y, n).act(mu)
+            assert bracket(x.act(mu), y.act(mu)) == bracket(x, y).act(mu)
 
 
 def test_facet_t1_0_display():
@@ -187,7 +187,7 @@ def test_facet_t1_0_display():
         for a, b in ((2, 5), (0, 3), (-1, 4)):
             img = facet_map("t1=0", pair_bracket(a, b, n))
             want = bracket(deg_n_gen(2, 3, (0, a, 0), n),
-                           deg_n_gen(2, 3, (0, b, 0), n), n)
+                           deg_n_gen(2, 3, (0, b, 0), n))
             assert img == want
 
 
@@ -209,7 +209,7 @@ def expected_doubling_display(facet, a, b, n):
         out.triple[(a, a - b)] = out.triple.get((a, a - b), 0) - 1
         out.triple[(b, b - a)] = out.triple.get((b, b - a), 0) + sgn
     out.triple = {k: c for k, c in out.triple.items() if c}
-    w13 = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(1, 3, (b, 0, 0), n), n)
+    w13 = bracket(deg_n_gen(1, 3, (a, 0, 0), n), deg_n_gen(1, 3, (b, 0, 0), n))
     return out + w13
 
 
@@ -246,6 +246,22 @@ def test_facet_map_images_live_in_the_input_dimension():
         assert facet_map("t2=t3", DegNElem(n, {(1, 2, 3): 1})).n == n
     with pytest.raises(TypeError):
         facet_map("t1=t2", pair_bracket(2, 5, 3), 0, 4)
+
+
+def test_sums_and_brackets_refuse_mixed_operands():
+    # a sum of a DegNElem and a BracketElem has no basis to live in
+    x, br = deg_n_gen(1, 2, n=3), pair_bracket(0, 1, 3)
+    for a, b in ((x, br), (br, x)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(TypeError, match="cannot add %s to %s"
+                               % (type(b).__name__, type(a).__name__)):
+                op(a, b)
+    # nor do two sphere dimensions meet in a sum or a bracket
+    x4 = deg_n_gen(2, 3, n=4)
+    for a, b in ((x, x4), (x4, x)):
+        for op in (bracket, lambda u, v: u + v):
+            with pytest.raises(ValueError, match="mismatched sphere dimension"):
+                op(a, b)
 
 
 def test_derived_relator_examples():
@@ -356,7 +372,7 @@ def test_bracket_and_act_match_dict_merging_reference():
             mu = tuple(rng.randrange(-3, 4) for _ in range(3))
             assert x.act(mu).terms == {(i, j, a + mu[i - 1] - mu[j - 1]): c
                                        for (i, j, a), c in x.terms.items()}
-            got = bracket(x, y, n)
+            got = bracket(x, y)
             ref = _ref_bracket(x, y, n)
             assert (got.triple, got.pairs) == ref
             moved = got.act(mu)
@@ -382,7 +398,7 @@ def test_bracket_and_facet_map_build_without_add(monkeypatch):
     monkeypatch.setattr(DegNElem, "add", broken)
     monkeypatch.setattr(BracketElem, "add", broken)
     for n, x, y, w12, p, facet, a in cases:
-        got = bracket(x, y, n)
+        got = bracket(x, y)
         assert (got.triple, got.pairs) == _ref_bracket(x, y, n)
         assert facet_map(facet, w12, a).terms == _ref_facet_map(facet, w12, a, n)
         img = facet_map(facet, p, a)

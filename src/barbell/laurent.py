@@ -129,9 +129,12 @@ class Terms:
 
     @classmethod
     def from_json(cls, obj):
-        terms = obj.get("terms", []) if isinstance(obj, dict) else None
+        terms = obj.get("terms") if isinstance(obj, dict) else None
         if not isinstance(terms, list):
             raise DomainError('expected an object with a "terms" list')
+        for key in obj:
+            if key != "terms":
+                raise DomainError("unknown key %r next to \"terms\"" % (key,))
         keys, one = cls.FIELDS + ("c",), len(cls.FIELDS) == 1
         pairs = []
         for t in terms:

@@ -15,13 +15,27 @@ classes, with one term per D instead of four.  The delta expansion
 check still compares the G-valued f_closed with its independent 8-term
 G expansion, so it also covers DClass.expand.
 
+Where os.fork exists, run(kmax) forks once: per-level agreement, the
+largest sweep, runs in the child while the caller runs the other checks,
+and the results come back in CHECKS order.  The child touches no stdio:
+it writes its one result as JSON to a pipe and leaves through os._exit,
+so it never returns into the caller's code or flushes a buffer it
+inherited.  A child that dies without a result is a crashed check, and
+the caller reaps the child before run returns or raises.  Only the entry
+whose function is check_per_level_agreement itself is forked; a wrapped
+entry (a tracer's span, a test's probe) runs in the caller, where what
+it records stays visible.
+
 The relator oracles span term dicts keyed by monomial.  Normal-form
 soundness spans the k_relator instances of a box that holds every orbit
 its samples meet, so it shares no rows with orbit_relators, from which
 hex_normal_form's shape table is derived.
 """
 
+import json
+import os
 import random
+import signal
 
 from . import DomainError, hexagon, whitehead
 from .classes import (DClass, GClass, delta_expansion, e, f_closed, f_closed_d, f_levels_d, g,
@@ -438,16 +452,10 @@ CHECKS = (
 )
 
 
-def run(kmax):
-    """Run every check in CHECKS; returns (all_passed, results).
-
-    results is a list of (name, passed, detail), one per check in order,
-    with detail empty on success and "<name>: ..." on failure.
-    """
-    if kmax < 3:
-        raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
+def _run_checks(entries, kmax):
+    """Run each (name, fn) entry in order; returns its (name, passed, detail)."""
     results = []
-    for name, fn in CHECKS:
+    for name, fn in entries:
         try:
             fn(kmax)
         except CheckFailure as exc:
@@ -456,4 +464,56 @@ def run(kmax):
             results.append((name, False, "%s: crashed: %r" % (name, exc)))
         else:
             results.append((name, True, ""))
+    return results
+
+
+def _run_beside(entry, others, kmax):
+    """Run entry in a forked child while this process runs others; returns
+    (entry's result, others' results), the child reaped either way."""
+    r, w = os.pipe()
+    with open(r, "rb") as reader, open(w, "wb") as writer:
+        pid = os.fork()
+        if not pid:  # the child
+            code = 1
+            try:
+                reader.close()
+                writer.write(json.dumps(_run_checks([entry], kmax)[0]).encode())
+                writer.close()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            writer.close()
+            results = _run_checks(others, kmax)
+            data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and data:  # a check may itself call os._exit(0) before the write
+        return tuple(json.loads(data)), results
+    how = "killed by signal %d" % -code if code < 0 else "exit status %d" % code
+    return (entry[0], False, "%s: crashed: child %s" % (entry[0], how)), results
+
+
+def run(kmax):
+    """Run every check in CHECKS; returns (all_passed, results).
+
+    results is a list of (name, passed, detail), one per check in order,
+    with detail empty on success and "<name>: ..." on failure.  Where
+    os.fork exists, the entry whose function is check_per_level_agreement
+    itself (not a wrapper of it) runs in a forked child beside the rest.
+    """
+    if kmax < 3:
+        raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
+    entries = list(CHECKS)
+    i = next((i for i, (_, fn) in enumerate(entries) if fn is check_per_level_agreement), None)
+    if i is None or not hasattr(os, "fork"):
+        results = _run_checks(entries, kmax)
+    else:
+        forked, results = _run_beside(entries[i], entries[:i] + entries[i + 1:], kmax)
+        results.insert(i, forked)
     return all(ok for _, ok, _ in results), results

@@ -1,4 +1,7 @@
+import os
 import random
+import signal
+import time
 from collections import Counter
 
 import pytest
@@ -249,10 +252,83 @@ def test_per_level_check_catches_a_level_changed_inside_a_run(monkeypatch):
     with pytest.raises(selfcheck.CheckFailure) as exc:
         selfcheck.check_per_level_agreement(6)
     assert str(exc.value) == "k=%d p=%d q=%d" % (k, p, q)
+    # run forks this check into a child, which reports the same detail
+    assert [r for r in selfcheck.run(6)[1] if not r[1]] == [
+        ("per-level agreement", False, "per-level agreement: %s" % exc.value)]
     # a distinct object of equal value splits the run but not the sum
     patched, _ = _replace_mid_run(lambda level: DClass(dict(level.terms)))
     monkeypatch.setattr(selfcheck, "f_levels_d", patched)
     selfcheck.check_per_level_agreement(6)
+
+
+def _serial_run(kmax):
+    # reference: every entry of CHECKS in order, in this process
+    results = []
+    for name, fn in selfcheck.CHECKS:
+        try:
+            fn(kmax)
+        except selfcheck.CheckFailure as exc:
+            results.append((name, False, "%s: %s" % (name, exc)))
+        except Exception as exc:
+            results.append((name, False, "%s: crashed: %r" % (name, exc)))
+        else:
+            results.append((name, True, ""))
+    return all(ok for _, ok, _ in results), results
+
+
+def test_runner_matches_the_serial_reference(monkeypatch):
+    for k in range(3, 9):
+        want = _serial_run(k)
+        assert selfcheck.run(k) == want, k
+        with monkeypatch.context() as m:  # no os.fork: every check runs here
+            m.delattr(os, "fork")
+            assert selfcheck.run(k) == want, k
+
+
+def test_runner_reports_a_dead_child_as_crashed(monkeypatch):
+    want = _serial_run(6)[1]
+    i = [name for name, _ in selfcheck.CHECKS].index("per-level agreement")
+    for die, how in ((lambda: os._exit(7), "exit status 7"),
+                     (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
+        monkeypatch.setattr(selfcheck, "f_levels_d", lambda *args, die=die: die())
+        ok, results = selfcheck.run(6)
+        assert not ok
+        assert results[i] == ("per-level agreement", False,
+                              "per-level agreement: crashed: child %s" % how)
+        assert results[:i] + results[i + 1:] == want[:i] + want[i + 1:]
+        with pytest.raises(ChildProcessError):  # reaped: no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_runner_kills_the_child_when_the_caller_raises(monkeypatch):
+    def interrupted(kmax):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(selfcheck, "f_levels_d", lambda *args: time.sleep(60))
+    monkeypatch.setattr(selfcheck, "CHECKS", (("interrupted", interrupted),) + selfcheck.CHECKS)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        selfcheck.run(6)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runner_keeps_a_wrapped_entry_in_the_caller(monkeypatch):
+    # a wrapper is not check_per_level_agreement itself, so it is not forked
+    # and what it records stays visible to the caller
+    pids = []
+
+    def wrap(fn):
+        def wrapper(kmax):
+            pids.append(os.getpid())
+            return fn(kmax)
+        return wrapper
+
+    monkeypatch.setattr(selfcheck, "CHECKS",
+                        tuple((name, wrap(fn)) for name, fn in selfcheck.CHECKS))
+    assert selfcheck.run(3) == _serial_run(3)
+    assert pids == [os.getpid()] * 2 * len(selfcheck.CHECKS)
 
 
 def test_twist_matches_scaled_sum():

@@ -341,6 +341,16 @@ def test_validation_exit_codes(capsys, tmp_path):
             (hex_reduce + ['[1]'], "polynomial", 'expected an object with a "terms" list'),
             (hex_reduce + ['{"terms": {"e1": 0}}'], "polynomial",
              'expected an object with a "terms" list'),
+            # a misspelt "terms" is not the zero polynomial, nor is any key beside it
+            (["hex", "reduce", "--n", "3", "--format", "json", "--poly",
+              '{"term": [{"e1": 0, "e2": 0, "c": "1"}]}'],
+             "polynomial", 'expected an object with a "terms" list'),
+            (["lambda", "reduce", "--w0", "5", "--n", "3", "--poly",
+              '{"Terms": [{"e": 7, "c": "1"}]}'],
+             "polynomial", 'expected an object with a "terms" list'),
+            (hex_reduce + ['{}'], "polynomial", 'expected an object with a "terms" list'),
+            (["cover", "apply", "--m", "2", "--alpha", '{"terms": [], "m": 2}'],
+             "alpha combination", 'unknown key \'m\' next to "terms"'),
             # a term that is not an object, or lacks a key, names the key
             (hex_reduce + ['{"terms": [1]}'], "polynomial",
              "each term must be an object with an integer e1"),

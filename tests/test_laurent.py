@@ -100,8 +100,14 @@ def test_terms_contract(cls, key, other):
     big = cls({key(0): 10 ** 40, key(4): -(10 ** 39 + 7)})
     assert cls.from_json(big.to_json()) == big
     # the reader owns the payload envelope: an object whose "terms" is a list
-    for bad in ([1], {"terms": "x"}, {"terms": {"e1": 0}}, "x", None):
+    # with the key spelt exactly, and nothing next to it
+    terms = big.to_json()["terms"]
+    for bad in ([1], {"terms": "x"}, {"terms": {"e1": 0}}, "x", None, {},
+                {"term": terms}, {"Terms": terms}):
         with pytest.raises(DomainError, match='expected an object with a "terms" list'):
+            cls.from_json(bad)
+    for bad, name in (({"terms": terms, "n": 3}, "'n'"), ({"Terms": [], "terms": []}, "'Terms'")):
+        with pytest.raises(DomainError, match='unknown key %s next to "terms"' % name):
             cls.from_json(bad)
     assert [set(t) for t in big.to_json()["terms"]] == [set(cls.FIELDS) | {"c"}] * 2
     assert repr(cls()) == "0"

@@ -437,7 +437,7 @@ def _render(args, payload, text, csv_rows=None):
 
 
 def _emit(args, rendered):
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(rendered)

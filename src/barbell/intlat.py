@@ -11,8 +11,9 @@ Two algorithms, each exact in Python integers (never a float):
   and `rank_over_rationals`: an echelon basis over Z has as many rows as
   the rank over Q.
 
-The row span takes rows as {column: int} dicts or dense lists, and keeps
-them sparse.
+The row span takes {column: int} dicts or dense lists and keeps them
+sparse. It reduces by Euclid on the pivot and shares no step with the
+Smith form, so it checks the Smith transforms independently.
 """
 
 from collections import namedtuple
@@ -241,10 +242,10 @@ def cokernel_structure(relations):
 class IntegerRowSpan:
     """Incremental echelon basis for an integer row span.
 
-    Rows are kept sparse (column -> coefficient) with a positive pivot at
-    their least nonzero column.  Membership testing reduces a query
-    vector against the basis with exact divisibility checks, so both
-    `add` and `contains` cost O(#pivots touched * row weight).
+    Rows are sparse (column -> coefficient), with a positive pivot at their
+    least column.  `contains` divides exactly at each pivot; `add` runs
+    Euclid there, swapping in a remainder 0 < v[j] < row[j] and reducing the
+    displaced row on, so the stored pivot falls at each swap and `add` ends.
     """
 
     __slots__ = ("rows",)
@@ -264,18 +265,9 @@ class IntegerRowSpan:
                     v = {k: -c for k, c in v.items()}
                 self.rows[j] = v
                 return
-            # the Smith form's 2x2 transform on (row, v): gcd at the pivot, 0 in v
-            x, y, z, w = _gcd_step(row[j], v[j])
-            new_row, new_v = {}, {}
-            for k in set(row) | set(v):
-                r, s = row.get(k, 0), v.get(k, 0)
-                c, d = x * r + y * s, z * r + w * s
-                if c:
-                    new_row[k] = c
-                if d:
-                    new_v[k] = d
-            self.rows[j] = new_row
-            v = new_v
+            _subtract(v, v[j] // row[j], row)
+            if j in v:  # 0 < v[j] < row[j]: v takes the pivot, row reduces on
+                self.rows[j], v = v, row
 
     def contains(self, vec):
         v = dict(_nonzero(vec))

@@ -313,6 +313,7 @@ def test_validation_exit_codes(capsys, tmp_path):
                  hex_reduce + ['{"terms": [{"e1": 0, "e2": 0, "c": "\u0663"}]}'],
                  hex_reduce + ["[" * 50000],
                  ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "x.json")],
+                 ["delta", "--k", "4", "--output", ""],
                  ["lambda", "reduce", "--w0", "1", "--n", "3",
                   "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
                  ["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": true, "c": "1"}]}']):

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -281,18 +281,33 @@ def test_cokernel_invariant_under_row_ops():
 def test_row_span_membership_agrees_with_snf():
     # v in rowspan(M) iff (v . V) is divisible entrywise by the SNF diagonal
     rng = random.Random(41)
-    for _ in range(40):
-        m = rand_matrix(rng, max_dim=5, max_entry=4)
+    # after small random matrices, rows that need many Euclid steps, with
+    # entries past 64 bits: consecutive Fibonacci pivots, entries near 10^30
+    fib = [0, 1]
+    while len(fib) <= 200:
+        fib.append(fib[-2] + fib[-1])
+    e = 10 ** 30
+    big_rng = random.Random(43)
+    big = [IntMatrix(2, 3, [[fib[200], e + 1, -e], [fib[199], e, 3]]),
+           IntMatrix(3, 4, [[fib[150], fib[149], e + 7, 1], [fib[149], fib[148], -e, 0],
+                            [0, fib[90], fib[89], e]]),
+           IntMatrix(4, 4, [[big_rng.randrange(-e, e) for _ in range(4)] for _ in range(4)])]
+    for m in chain((rand_matrix(rng, max_dim=5, max_entry=4) for _ in range(40)), big):
         d, _, v = smith_normal_form(m)
+        diag = d.diagonal()
         span = IntegerRowSpan(m.data)
-        # echelon rows: sparse, no zero stored, positive pivot at their least column
+        # echelon rows: sparse, no zero stored, positive pivot at their least
+        # column, one row per pivot column and so as many rows as the rank
         for j, row in span.rows.items():
             assert 0 not in row.values() and min(row) == j and row[j] > 0
-        for _ in range(8):
-            vec = [rng.randrange(-6, 7) for _ in range(m.cols)]
+        assert len(span.rows) == sum(1 for dj in diag if dj)
+        # random small vectors, then a combination of the rows and it plus e_0
+        queries = [[rng.randrange(-6, 7) for _ in range(m.cols)] for _ in range(8)]
+        combo = [sum((-1) ** i * (i + 2) * row[j] for i, row in enumerate(m.data))
+                 for j in range(m.cols)]
+        for vec in queries + [combo, [combo[0] + 1] + combo[1:]]:
             y = [sum(vec[i] * v.data[i][j] for i in range(m.cols))
                  for j in range(m.cols)]
-            diag = d.diagonal()
             ok = True
             for j in range(m.cols):
                 dj = diag[j] if j < len(diag) else 0
@@ -314,7 +329,7 @@ def test_integer_row_span_basic():
 
 def test_integer_row_span_gcd_combination():
     span = IntegerRowSpan([[4, 1], [6, 0]])
-    # x*[4,1] + y*[6,0]: gcd pivoting must find [-2,1] = [4,1] - [6,0]
+    # x*[4,1] + y*[6,0]: Euclid on the pivot must find [2,-1] = [6,0] - [4,1]
     # and [0,3] = 3*[4,1] - 2*[6,0], but [2,1] needs y = -1/3
     assert span.contains([-2, 1])
     assert span.contains([0, 3])

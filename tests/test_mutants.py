@@ -29,10 +29,27 @@ MUTANTS = [
      "                if v[j] < 0:\n",
      "                if False:\n",
      "snf certificate"),
+    # a sign flip in the Smith form's 2x2 step: its U is no longer unimodular,
+    # which the row span sees because it shares no step with the Smith form
+    ("src/barbell/intlat.py",
+     "    return x, y, -(q // g), p // g\n",
+     "    return x, y, q // g, p // g\n",
+     "snf certificate"),
+    # Euclid's swap drops the displaced row, so the span loses a generator
+    ("src/barbell/intlat.py",
+     "                self.rows[j], v = v, row\n",
+     "                self.rows[j], v = v, {}\n",
+     "snf certificate"),
 ]
 
 
-@pytest.mark.parametrize("path, old, new, check", MUTANTS, ids=[m[3] for m in MUTANTS])
+# a row's id is its check's name; a check that names several rows adds the
+# row's index after its first
+IDS = [check if all(m[3] != check for m in MUTANTS[:i]) else "%s %d" % (check, i)
+       for i, (_, _, _, check) in enumerate(MUTANTS)]
+
+
+@pytest.mark.parametrize("path, old, new, check", MUTANTS, ids=IDS)
 def test_selfcheck_names_the_mutant(tmp_path, path, old, new, check):
     tree = tmp_path / "tree"
     shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -43,6 +60,6 @@ def test_selfcheck_names_the_mutant(tmp_path, path, old, new, check):
     target.write_text(text.replace(old, new))
     run = subprocess.run([sys.executable, "-m", "barbell.cli", "selfcheck", "--kmax", "8"],
                          cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 3, run.stderr
     assert "\nFAIL %s: " % check in "\n" + run.stdout

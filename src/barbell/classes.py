@@ -13,8 +13,8 @@ is skew symmetric with zero total sum, and twisting multiplies rows and
 columns by the twist vectors.  Every entry of F_k is an integer
 combination of D's, through the five roman forms, so the entries are
 built once, as DClass values over canonical D keys (f_closed_d,
-f_levels_d), and the G-valued f_closed, f_levels, roman, d, twist_class
-and delta are their expansions.  Distinct canonical D's expand to
+f_levels_d), and the G-valued f_closed, f_levels, twist_class and delta
+are their expansions.  Distinct canonical D's expand to
 disjoint G supports, so the expansion is injective and an F_k identity
 may be checked in either basis.  The third-order invariant sends G(p,q)
 to the monomial t1^p t2^q on [w13, w23] (global sign fixed to +1).
@@ -98,10 +98,6 @@ class DClass(Terms):
         return g
 
 
-def d(p, q):
-    return DClass({(p, q): 1}).expand()
-
-
 def _roman(form, p, q, c):
     # the raw D (key, coeff) pairs of c times the roman form
     if form == "I":
@@ -115,11 +111,6 @@ def _roman(form, p, q, c):
     if form == "IIre":
         return [((p, -q), c), ((p + q, -q), -c), ((p - q, q), -c), ((p, q), c)]
     raise ValueError("unknown roman form %r" % (form,))
-
-
-def roman(form, p, q):
-    """One of the five D-combinations entering the closed form of F_k."""
-    return DClass(_roman(form, p, q, 1)).expand()
 
 
 def _check_fk_args(k, p, q):

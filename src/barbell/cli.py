@@ -177,9 +177,12 @@ def _cmd_fk(args):
 
 
 def _cmd_delta(args):
+    if args.n is not None and not args.w3:
+        raise DomainError("delta takes --n only with --w3")
+    n = 3 if args.n is None else args.n
     cls = delta(args.k)  # raises if delta_k disagrees with its 8-term expansion
     if args.w3:
-        nf = hex_normal_form(w3(cls), args.n)
+        nf = hex_normal_form(w3(cls), n)
 
     def payload():
         out = {"k": args.k, "class": cls.to_json()}
@@ -187,7 +190,7 @@ def _cmd_delta(args):
             out["expansion"] = out["class"]
             out["matches_expansion"] = True
         if args.w3:
-            out["n"] = args.n
+            out["n"] = n
             out["w3_normal_form"] = nf
             out["w3_is_zero"] = nf.is_zero()
         return out
@@ -197,7 +200,7 @@ def _cmd_delta(args):
         if args.expand:
             lines.append("matches the 8-term expansion: yes")
         if args.w3:
-            lines.append("W3 normal form (n=%d): %r" % (args.n, nf))
+            lines.append("W3 normal form (n=%d): %r" % (n, nf))
         return lines
     return payload, text
 
@@ -302,7 +305,8 @@ def build_parser():
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a1", type=int, default=0, help="velocity degree of the doubled point")
+    p.add_argument("--a1", type=int, default=0, help="velocity degree of the doubled point "
+                   "(facets t1=t2 and t2=t3 only)")
     p = wh_sub.add_parser("relators", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", required=True, metavar="LO,HI")
@@ -332,7 +336,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--expand", action="store_true")
     p.add_argument("--w3", action="store_true")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, help="read by --w3 only (default 3)")
 
     p = sub.add_parser("twist", parents=[common], help="twisted class for (v, w)")
     p.add_argument("--k", type=int, required=True)

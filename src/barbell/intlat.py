@@ -64,9 +64,6 @@ class IntMatrix:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
-    def __repr__(self):
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
-
 
 class QuotientStructure(namedtuple("QuotientStructure", "free_rank torsion")):
     """Finitely generated abelian group: free rank plus invariant factors."""

@@ -1,4 +1,4 @@
-"""W2 target groups for circles and arcs.
+"""W2 target group for circles.
 
 For circles the invariant lands in a quotient of Z[t^{+-1}] by the
 relations  t^k + (-1)^n t^(W0-1-k) = 0,  t^0 = 0,  t^-1 = 0,  where W0
@@ -12,7 +12,8 @@ form a basis; when n is even and the fold line 2k = W0-1 hits an
 integer exponent that was not killed, that monomial carries a single
 2-torsion bit instead of a free coordinate.
 
-For arcs the target is simply Z[t^{+-1}] / <t^0>.
+The arc target Z[t^{+-1}] / <t^0> has no code here: its normal form
+only drops the t^0 term, and no command asks for it.
 """
 
 from collections import namedtuple
@@ -137,29 +138,30 @@ def relator_matrix(ctx, lo, hi):
 
 
 def lambda_structure(ctx, window):
-    """Structure of the window-restricted quotient group, in one pass: the
-    window spans its quotient inside the full one, each t^k reduces to 0,
-    +-t^m or the torsion bit, and distinct cells of k <-> W0-1-k reach distinct m."""
+    """Structure of the window-restricted quotient group, in closed form.
+
+    Each t^k reduces to 0, +-t^m with m = max(k, W0-1-k), or the torsion
+    bit.  The window holds the fold point (W0-1)/2, so the images m fill
+    [c, top], c = ceil((W0-1)/2), top = max(hi, W0-1-lo); the killed set
+    is closed under k <-> W0-1-k, so the free generators are the m there
+    that are not killed, less the fold point when it is the torsion bit.
+    """
     lo, hi = window
     need = abs(ctx.w0) + 2
     if lo > -need or hi < need:
         raise DomainError("window too small: need at least [-%d, %d]" % (need, need))
-    free, bit = set(), 0
-    for k in range(lo, hi + 1):
-        nf = lambda_reduce(LaurentPoly1.monomial(k), ctx)
-        free.update(nf.free_part.terms)
-        bit |= nf.torsion_bit
-    return QuotientStructure(len(free), (2,) * bit)
+    c, top = -(-(ctx.w0 - 1) // 2), max(hi, ctx.w0 - 1 - lo)
+    bit = int(ctx.has_torsion())
+    free = top - c + 1 - sum(c <= k <= top for k in ctx.killed) - bit
+    return QuotientStructure(free, (2,) * bit)
 
 
 def w2_theta(k, ctx):
-    """Value of the k-th half-ball resolution family: t^k - t^(k-1)."""
+    """Value of the k-th half-ball resolution family: t^k - t^(k-1).
+
+    The k-th strand-connecting family gamma_k takes the same value.
+    """
     return lambda_reduce(LaurentPoly1({k: 1, k - 1: -1}), ctx)
-
-
-# gamma_k, the k-th strand-connecting family, takes the same value
-# t^k - t^(k-1) as the half-ball family theta_k, so they share one function.
-w2_gamma = w2_theta
 
 
 def w2_alpha(i, ctx):
@@ -171,11 +173,6 @@ def w2_alpha(i, ctx):
     if ctx.w0 != 1:
         raise DomainError("alpha generators live on the W0 = 1 component")
     return lambda_reduce(LaurentPoly1({i + 1: 1, i: -2, i - 1: 1}), ctx)
-
-
-def w2_arc_reduce(p):
-    """Normal form in the arc target Z[t^{+-1}] / <t^0>: drop the t^0 term."""
-    return LaurentPoly1({k: c for k, c in p.terms.items() if k})
 
 
 class AlphaCombination(Terms):

@@ -156,14 +156,6 @@ class LaurentPoly1(Terms):
     FIELDS = ("e",)
     TERM = "%+d*t^%d"
 
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls({k: c})
-
-    def bar(self):
-        """The involution t^k -> t^(-k), extended Z-linearly."""
-        return LaurentPoly1({-k: c for k, c in self.terms.items()})
-
 
 class LaurentPoly2(Terms):
     """Integer Laurent polynomial in two commuting invertible variables."""

@@ -236,19 +236,21 @@ def facet_map(facet, x, a=0):
 
     `x` is a DegNElem or BracketElem supported on the w12 generators of
     the 2-point configuration space; `a` is the velocity degree of the
-    doubled point (facets t1=t2 and t2=t3 only -- it is provably
-    invisible in bracket images, which the test-suite checks).  The
-    image lives in x's dimension x.n.
+    doubled point, a DomainError unless 0 off facets t1=t2 and t2=t3 (it
+    is provably invisible in bracket images, which the test-suite
+    checks).  The image lives in x's dimension x.n.
     """
     if facet not in _FACET_DATA:
         raise DomainError("unknown facet %r" % (facet,))
+    data = _FACET_DATA[facet]
+    if a and not any(extra for _, _, extra in data["w"]):
+        raise DomainError("the velocity degree applies to facets t1=t2 and t2=t3 only")
     if not isinstance(x, (DegNElem, BracketElem)):
         raise TypeError("expected a DegNElem or BracketElem")
     if isinstance(x, BracketElem) and x.triple:
         raise DomainError("input must live on 2 points (no triple part)")
     if any(k[:2] != (1, 2) for part in x._dicts() for k in part):
         raise DomainError("input must live on 2 points (w12 only)")
-    data = _FACET_DATA[facet]
     n = x.n
     if isinstance(x, DegNElem):
         t1 = data["t1"]

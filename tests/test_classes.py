@@ -9,11 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbell import DomainError, classes, selfcheck
-from barbell.classes import (ROMAN_FORMS, DClass, GClass, d, delta, delta_expansion, e,
+from barbell.classes import (ROMAN_FORMS, DClass, GClass, delta, delta_expansion, e,
                              f_closed, f_levels, g, gstar, independence_rank,
-                             roman, twist_class, w3)
+                             twist_class, w3)
 from barbell.hexagon import hex_normal_form, orbit_of, orbit_structure
 from barbell.intlat import IntMatrix, QuotientStructure
+
+
+def d(p, q):
+    """D(p, q) as a G class, through the library's DClass."""
+    return DClass({(p, q): 1}).expand()
+
+
+def roman(form, p, q):
+    """One of the five roman D-combinations as a G class, from the library's raw pairs."""
+    return DClass(classes._roman(form, p, q, 1)).expand()
 
 
 # Reference: the class algebra built by GClass arithmetic, one class per

@@ -360,6 +360,12 @@ def test_validation_exit_codes(capsys, tmp_path):
             (hex_reduce + ['{"terms": [{"e1": 0, "c": "1"}]}'], "polynomial",
              "each term must be an object with an integer e2")):
         assert run_cli(capsys, argv) == (2, "", "error: bad %s payload: %s\n" % (what, msg))
+    # an option that would change no output byte is refused, as plain orbit's --n is
+    assert run_cli(capsys, ["delta", "--k", "4", "--n", "5"]) == (
+        2, "", "error: delta takes --n only with --w3\n")
+    assert run_cli(capsys, ["whitehead", "facet", "--facet", "t1=0", "--alpha", "1",
+                            "--beta", "2", "--n", "3", "--a1", "4"]) == (
+        2, "", "error: the velocity degree applies to facets t1=t2 and t2=t3 only\n")
     with pytest.raises(SystemExit) as exc:
         main(["fk", "--help"])
     assert exc.value.code == 0

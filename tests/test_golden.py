@@ -141,6 +141,13 @@ GOLDEN = [
     # a W3 normal form whose monomials all lie on the degenerate lines
     (["hex", "reduce", "--n", "4", "--format", "json", "--poly", LINES],
      "2c1de1b864582906dbdb7377151e5b3e33eaf0097bdf88797758b4c44c770d02"),
+    # lambda reduce text: free part only, free part and torsion bit, torsion bit only
+    (["lambda", "reduce", "--w0", "5", "--n", "3", "--poly", POLY1],
+     "dd7908fd0e2ee080a741e258d67ef79f7926a79bc70d0e1d7bfa8b7f157b5a86"),
+    (["lambda", "reduce", "--w0", "5", "--n", "4", "--poly", POLY1],
+     "b3a05b28f9a34caf441ab9896029364fcb3a9625d52d3a1c8afb1c49da5e377b"),
+    (["lambda", "reduce", "--w0", "5", "--n", "4", "--poly", _payload([{"e": 2, "c": "3"}])],
+     "9216490816e94373b42b37993233f7dab1339ae1c464aba57938cfa28b9a75cb"),
 ]
 
 
@@ -156,3 +163,18 @@ def test_readme_states_the_golden_count():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.search(r"stdout of\s+(\d+)\s+fixed\s+argv", readme)
     assert stated and int(stated.group(1)) == len(GOLDEN)
+
+
+def test_outputs_depend_on_n_only_through_its_parity(capsys):
+    # each golden argv that takes --n prints the same bytes at n + 2 and at
+    # n + 10^6, once the echoed n is written back
+    rows = [(argv, digest) for argv, digest in GOLDEN if "--n" in argv]
+    assert rows
+    for argv, digest in rows:
+        i = argv.index("--n") + 1
+        n = int(argv[i])
+        for m in (n + 2, n + 10 ** 6):
+            assert main(argv[:i] + [str(m)] + argv[i + 1:]) == 0, (argv, m)
+            out = capsys.readouterr().out
+            out = out.replace('"n": %d' % m, '"n": %d' % n).replace("(n=%d)" % m, "(n=%d)" % n)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, m)

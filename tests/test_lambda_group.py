@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from barbell.intlat import IntegerRowSpan, cokernel_structure
+from barbell.intlat import IntegerRowSpan, QuotientStructure, cokernel_structure
 from barbell.lambda_group import (AlphaCombination, LambdaContext,
                                   cover_kernel_iterate, cover_pullback,
                                   lambda_reduce, lambda_structure,
-                                  relator_matrix, w2_alpha, w2_arc_reduce,
-                                  w2_gamma, w2_theta)
+                                  relator_matrix, w2_alpha, w2_theta)
 from barbell.laurent import LaurentPoly1
 
 
@@ -38,6 +37,9 @@ def test_structure_examples():
     assert st.torsion == (2,)
     assert lambda_structure(LambdaContext(4, 3), (-20, 20)).torsion == ()
     assert lambda_structure(LambdaContext(0, 3), (-20, 20)).torsion == ()
+    # constant time in the window
+    big = 10 ** 30
+    assert lambda_structure(LambdaContext(3, 4), (-big, big)) == QuotientStructure(big - 1, (2,))
 
 
 def test_structure_matches_smith_form_oracle():
@@ -52,6 +54,20 @@ def test_structure_matches_smith_form_oracle():
             for lo, hi in windows:
                 want = cokernel_structure(relator_matrix(ctx, lo, hi)[0])
                 assert lambda_structure(ctx, (lo, hi)) == want, (w0, n, lo, hi)
+    # and against the images of the window's monomials, one reduction each,
+    # on random windows up to 30 past the least one
+    rng = random.Random(8)
+    for _ in range(500):
+        ctx = LambdaContext(rng.randint(-40, 40), rng.randint(3, 6))
+        need = abs(ctx.w0) + 2
+        lo, hi = -need - rng.randint(0, 30), need + rng.randint(0, 30)
+        free, bit = set(), 0
+        for k in range(lo, hi + 1):
+            nf = lambda_reduce(LaurentPoly1({k: 1}), ctx)
+            free.update(nf.free_part.terms)
+            bit |= nf.torsion_bit
+        want = QuotientStructure(len(free), (2,) * bit)
+        assert lambda_structure(ctx, (lo, hi)) == want, (ctx, lo, hi)
 
 
 def test_structure_window_validation():
@@ -102,7 +118,7 @@ def test_gamma_spans_intermediate_monomials():
         def make_span(elems):
             return IntegerRowSpan([{bit_col: 2}] + [vec(el) for el in elems])
 
-        gammas = [w2_gamma(k, ctx) for k in range(0, w0)]
+        gammas = [w2_theta(k, ctx) for k in range(0, w0)]  # gamma_k takes theta_k's value
         monos = [lambda_reduce(LaurentPoly1({k: 1}), ctx) for k in range(1, w0 - 1)]
         span_g, span_m = make_span(gammas), make_span(monos)
         assert all(span_m.contains(vec(el)) for el in gammas)
@@ -159,13 +175,6 @@ def test_mismatched_contexts_do_not_mix():
         for op in (operator.add, operator.sub):
             with pytest.raises(ValueError, match="^mismatched contexts$"):
                 op(a, b)
-
-
-def test_arc_reduce():
-    assert w2_arc_reduce(LaurentPoly1({0: 1, 2: 1})) == LaurentPoly1({2: 1})
-    assert w2_arc_reduce(LaurentPoly1()).is_zero()
-    p = LaurentPoly1({5: 1, 4: -1})
-    assert w2_arc_reduce(p) == p
 
 
 def test_cover_pullback_rule():

@@ -17,7 +17,7 @@ def rand1(rng):
 
 
 def test_additive_inverse():
-    p = LaurentPoly1.monomial(2, 1)
+    p = LaurentPoly1({2: 1})
     assert (p + p.neg()).is_zero()
 
 
@@ -34,14 +34,7 @@ def test_two_variable_doubling():
 
 def test_add_arity_mismatch():
     with pytest.raises(TypeError):
-        LaurentPoly1.monomial(1).add(LaurentPoly2.monomial(1, 0))
-
-
-def test_bar_examples():
-    assert LaurentPoly1.monomial(3).bar() == LaurentPoly1.monomial(-3)
-    assert LaurentPoly1.monomial(0).bar() == LaurentPoly1.monomial(0)
-    p = LaurentPoly1({1: 2, -2: -1})
-    assert p.bar() == LaurentPoly1({-1: 2, 2: -1})
+        LaurentPoly1({1: 1}).add(LaurentPoly2.monomial(1, 0))
 
 
 def test_add_associative_commutative_random():
@@ -56,7 +49,7 @@ def test_no_zero_coefficients_stored():
     rng = random.Random(3)
     for _ in range(100):
         p, q = rand1(rng), rand1(rng)
-        for out in (p + q, p - q, p.bar(), p.scale(0), q.scale(-3)):
+        for out in (p + q, p - q, p.scale(0), q.scale(-3)):
             assert all(c != 0 for c in out.terms.values())
 
 

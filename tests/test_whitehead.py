@@ -237,6 +237,13 @@ def test_facet_validation():
         facet_map("t2=0", pair_bracket(1, 0, 3))
     with pytest.raises(ValueError):
         facet_map("t1=0", DegNElem(3, {(1, 3, 0): 1}))
+    # the velocity degree is read on the doubling facets only
+    for facet in ("t1=0", "t3=1"):
+        for x in (pair_bracket(1, 2, 3), DegNElem(4, {(1, 2, 0): 1})):
+            assert facet_map(facet, x, 0) == facet_map(facet, x)
+            with pytest.raises(DomainError, match="^the velocity degree applies to "
+                                                  "facets t1=t2 and t2=t3 only$"):
+                facet_map(facet, x, -3)
 
 
 def test_facet_map_images_live_in_the_input_dimension():
@@ -389,8 +396,9 @@ def test_bracket_and_facet_map_build_without_add(monkeypatch):
             x, y = DegNElem(n, _rand_terms(rng, keys)), DegNElem(n, _rand_terms(rng, keys))
             w12 = DegNElem(n, _rand_terms(rng, ((1, 2),)))
             p = pair_bracket(rng.randrange(-5, 6), rng.randrange(-5, 6), n)
-            cases.append((n, x, y, w12, p, rng.choice(whitehead.FACETS),
-                          rng.randrange(-3, 4)))
+            facet, a = rng.choice(whitehead.FACETS), rng.randrange(-3, 4)
+            # the velocity degree is read on the doubling facets only
+            cases.append((n, x, y, w12, p, facet, a if facet in ("t1=t2", "t2=t3") else 0))
 
     def broken(self, other):
         raise AssertionError("add called")

@@ -25,7 +25,7 @@ from .hexagon import (HexNormalForm, basis_change_12_to_13, hex_normal_form, orb
                       orbit_structure)
 from .lambda_group import (AlphaCombination, LambdaContext, cover_kernel_iterate,
                            cover_pullback, lambda_reduce, lambda_structure)
-from .laurent import LaurentPoly1, LaurentPoly2
+from .laurent import LaurentPoly1, LaurentPoly2, json_int
 from .whitehead import FACETS, derive_R_relators, facet_map, pair_bracket
 
 
@@ -40,10 +40,20 @@ def _load(cls, text, what):
         raise DomainError("bad %s payload: %s" % (what, exc))
 
 
+def _int(text):
+    """The int an argv integer spells, by the payloads' rule (json_int): an
+    optional "-" and ASCII digits only, so "1_0", "+1", " 1" and non-ASCII
+    digits are refused, in argparse's words for a bad int."""
+    try:
+        return json_int(text, "argument")
+    except DomainError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _parse_window(text):
     try:
-        lo, hi = (int(x) for x in text.split(","))
-    except ValueError:
+        lo, hi = map(_int, text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise DomainError("window must be LO,HI with integer bounds")
     if lo > hi:
         raise DomainError("window must satisfy LO <= HI")
@@ -52,8 +62,8 @@ def _parse_window(text):
 
 def _parse_csv_ints(text, what):
     try:
-        return [int(x) for x in text.split(",")] if text else []
-    except ValueError:
+        return [_int(x) for x in text.split(",")] if text else []
+    except argparse.ArgumentTypeError:
         raise DomainError("%s must be a comma-separated integer list" % what)
 
 
@@ -271,7 +281,7 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", metavar="FILE")
-    common.add_argument("--seed", type=int, help="accepted for harness "
+    common.add_argument("--seed", type=_int, help="accepted for harness "
                         "compatibility; all computation is deterministic")
 
     top = _Parser(prog="barbell", description=__doc__)
@@ -281,8 +291,8 @@ def build_parser():
     lam_sub = lam.add_subparsers(dest="action", required=True)
     for action in ("reduce", "structure"):
         p = lam_sub.add_parser(action, parents=[common])
-        p.add_argument("--w0", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--w0", type=_int, required=True)
+        p.add_argument("--n", type=_int, required=True)
         if action == "reduce":
             p.add_argument("--poly", required=True)
         else:
@@ -291,66 +301,66 @@ def build_parser():
     cov = sub.add_parser("cover", help="finite-cover endomorphism")
     cov_sub = cov.add_subparsers(dest="action", required=True)
     p = cov_sub.add_parser("apply", parents=[common])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--alpha", required=True)
     p = cov_sub.add_parser("kernel", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--depth", type=_int, required=True)
     p.add_argument("--alpha", required=True)
 
     wh = sub.add_parser("whitehead", help="bracket facets and derived relators")
     wh_sub = wh.add_subparsers(dest="action", required=True)
     p = wh_sub.add_parser("facet", parents=[common])
     p.add_argument("--facet", required=True, choices=FACETS)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a1", type=int, default=0, help="velocity degree of the doubled point "
+    p.add_argument("--alpha", type=_int, required=True)
+    p.add_argument("--beta", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--a1", type=_int, default=0, help="velocity degree of the doubled point "
                    "(facets t1=t2 and t2=t3 only)")
     p = wh_sub.add_parser("relators", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--window", required=True, metavar="LO,HI")
 
     p = sub.add_parser("orbit", parents=[common], help="hexagon-group orbits")
     p.add_argument("action", nargs="?", choices=("structure",))
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--n", type=int, help="read by orbit structure only")
+    p.add_argument("--alpha", type=_int, required=True)
+    p.add_argument("--beta", type=_int, required=True)
+    p.add_argument("--n", type=_int, help="read by orbit structure only")
 
     hx = sub.add_parser("hex", help="hexagon-quotient normal forms")
     hx_sub = hx.add_subparsers(dest="action", required=True)
     p = hx_sub.add_parser("reduce", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--poly", required=True)
     p = hx_sub.add_parser("change-basis", parents=[common])
     p.add_argument("--dir", required=True, choices=("13to12", "12to13"))
     p.add_argument("--poly", required=True)
 
     p = sub.add_parser("fk", parents=[common], help="the F_k matrix")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--per-level", action="store_true", dest="per_level")
     p.add_argument("--check-skew", action="store_true", dest="check_skew")
     p.add_argument("--sum", action="store_true")
 
     p = sub.add_parser("delta", parents=[common], help="the delta_k class")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--expand", action="store_true")
     p.add_argument("--w3", action="store_true")
-    p.add_argument("--n", type=int, help="read by --w3 only (default 3)")
+    p.add_argument("--n", type=_int, help="read by --w3 only (default 3)")
 
     p = sub.add_parser("twist", parents=[common], help="twisted class for (v, w)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--v", required=True, metavar="CSV")
     p.add_argument("--w", required=True, metavar="CSV")
 
     p = sub.add_parser("independence", parents=[common],
                        help="rank certificate for delta_kmin .. delta_kmax")
-    p.add_argument("--kmin", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--kmin", type=_int, required=True)
+    p.add_argument("--kmax", type=_int, required=True)
+    p.add_argument("--n", type=_int, default=3)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the invariant suite")
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--kmax", type=_int, default=12)
 
     return top
 

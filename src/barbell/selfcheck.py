@@ -15,16 +15,10 @@ classes, with one term per D instead of four.  The delta expansion
 check still compares the G-valued f_closed with its independent 8-term
 G expansion, so it also covers DClass.expand.
 
-Where os.fork exists, run(kmax) forks once: per-level agreement, the
-largest sweep, runs in the child while the caller runs the other checks,
-and the results come back in CHECKS order.  The child touches no stdio:
-it writes its one result as JSON to a pipe and leaves through os._exit,
-so it never returns into the caller's code or flushes a buffer it
-inherited.  A child that dies without a result is a crashed check, and
-the caller reaps the child before run returns or raises.  Only the entry
-whose function is check_per_level_agreement itself is forked; a wrapped
-entry (a tracer's span, a test's probe) runs in the caller, where what
-it records stays visible.
+Per-level agreement is proved for every k at eleven fixed points (see
+check_per_level_agreement), so its sweep stops at LEVEL_SWEEP_KMAX; skew
+symmetry and the total sum stay sampled to kmax.  run(kmax) runs every
+check in order in the calling process.
 
 The relator oracles span term dicts keyed by monomial.  Normal-form
 soundness spans the k_relator instances of a box that holds every orbit
@@ -32,14 +26,12 @@ its samples meet, so it shares no rows with orbit_relators, from which
 hex_normal_form's shape table is derived.
 """
 
-import json
-import os
 import random
-import signal
+from itertools import chain
 
-from . import DomainError, hexagon, whitehead
-from .classes import (DClass, GClass, delta_expansion, e, f_closed, f_closed_d, f_levels_d, g,
-                      gstar, w3)
+from . import DomainError, classes, hexagon, whitehead
+from .classes import (ROMAN_FORMS, DClass, GClass, delta_expansion, e, f_closed, f_closed_d,
+                      f_levels_d, g, gstar, w3)
 from .hexagon import (basis_change_12_to_13, hex_normal_form, orbit_of, orbit_relators,
                       orbit_structure, r_map, s_map)
 from .intlat import (IntMatrix, IntegerRowSpan, cokernel_structure, rank_over_rationals,
@@ -52,6 +44,7 @@ from .whitehead import DegNElem, bracket, deg_n_gen, facet_map, pair_bracket
 
 SEED = 20210426  # base seed of every sampled check
 SAMPLES = 60      # random polynomials per (W0, n) in the lambda oracle check
+LEVEL_SWEEP_KMAX = 12  # per-level agreement is proved for every k; its sweep stops here
 
 
 class CheckFailure(Exception):
@@ -342,12 +335,52 @@ def check_total_sum_vanishes(kmax):
             raise CheckFailure("sum of F_%d is %r" % (k, total.expand()))
 
 
+# affinely independent points of each region of _level_form's comparisons,
+# by the sign of p + q - k
+_LEVEL_POINTS = (
+    (-1, ((20, 3, 7), (21, 3, 7), (20, 4, 7), (20, 3, 9))),
+    (0, ((20, 8, 12), (21, 8, 13), (21, 9, 12))),
+    (1, ((20, 13, 11), (21, 13, 11), (20, 15, 11), (20, 13, 16))),
+)
+
+
 def check_per_level_agreement(kmax):
-    for k in range(2, kmax + 1):
-        for p in range(1, k):
-            for q in range(1, k):
-                if DClass.sum(f_levels_d(k, p, q)) != f_closed_d(k, p, q):
-                    raise CheckFailure("k=%d p=%d q=%d" % (k, p, q))
+    """The levels of F_k(p, q) sum to f_closed_d(k, p, q), for every k.
+
+    Lemma.  Level L's class is R_X = DClass(_roman(X, p, q, 1)), X being
+    _level_form(k, L, p, q), and f_closed_d is DClass of the sum over X of
+    _roman(X, p, q, w_X), where _roman is linear in its last argument.  So
+    the level sum minus the closed form is sum_X (count_X - w_X) R_X, with
+    count_X the number of levels in case X.  _level_form compares L with
+    k - p and with q, and p + q with k.  The regions are p + q < k,
+    p + q = k and p + q > k, each with 1 <= p, q <= k - 1; on each, the
+    endpoints of every case's range of L keep their order, so count_X is
+    affine in (k, p, q) there, as is each weight of _f_closed.  At a point
+    where the five R_X are independent and the sum equals the closed form,
+    every count equals its weight.  If that holds at 4 affinely independent
+    points of a region (3 on the plane p + q = k), the affine
+    count_X - w_X vanish on all of it: the identity holds for every k.
+
+    The check verifies that lemma's conditions at _LEVEL_POINTS, then the
+    identity there and at every (k, p, q) with k <= min(kmax,
+    LEVEL_SWEEP_KMAX).
+    """
+    for sign, points in _LEVEL_POINTS:
+        diffs = [[a - b for a, b in zip(pt, points[0])] for pt in points[1:]]
+        if rank_over_rationals(IntMatrix(len(diffs), 3, diffs)) != len(diffs):
+            raise CheckFailure("points of region %+d not affinely independent" % sign)
+        for k, p, q in points:
+            if not (1 <= p < k and 1 <= q < k) or (p + q > k) - (p + q < k) != sign:
+                raise CheckFailure("k=%d p=%d q=%d outside region %+d" % (k, p, q, sign))
+            romans = IntegerRowSpan(DClass(classes._roman(form, p, q, 1)).terms
+                                    for form in ROMAN_FORMS)
+            if len(romans.rows) != len(ROMAN_FORMS):
+                raise CheckFailure("k=%d p=%d q=%d: roman forms dependent" % (k, p, q))
+    sweep = ((k, p, q) for k in range(2, min(kmax, LEVEL_SWEEP_KMAX) + 1)
+             for p in range(1, k) for q in range(1, k))
+    for k, p, q in chain((pt for _, points in _LEVEL_POINTS for pt in points), sweep):
+        if DClass.sum(f_levels_d(k, p, q)) != f_closed_d(k, p, q):
+            raise CheckFailure("k=%d p=%d q=%d" % (k, p, q))
 
 
 def check_symmetric_g_compatibility(kmax):
@@ -450,10 +483,16 @@ CHECKS = (
 )
 
 
-def _run_checks(entries, kmax):
-    """Run each (name, fn) entry in order; returns its (name, passed, detail)."""
+def run(kmax):
+    """Run every check in CHECKS, in order; returns (all_passed, results).
+
+    results is a list of (name, passed, detail), one per check in order,
+    with detail empty on success and "<name>: ..." on failure.
+    """
+    if kmax < 3:
+        raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
     results = []
-    for name, fn in entries:
+    for name, fn in CHECKS:
         try:
             fn(kmax)
         except CheckFailure as exc:
@@ -462,56 +501,4 @@ def _run_checks(entries, kmax):
             results.append((name, False, "%s: crashed: %r" % (name, exc)))
         else:
             results.append((name, True, ""))
-    return results
-
-
-def _run_beside(entry, others, kmax):
-    """Run entry in a forked child while this process runs others; returns
-    (entry's result, others' results), the child reaped either way."""
-    r, w = os.pipe()
-    with open(r, "rb") as reader, open(w, "wb") as writer:
-        pid = os.fork()
-        if not pid:  # the child
-            code = 1
-            try:
-                reader.close()
-                writer.write(json.dumps(_run_checks([entry], kmax)[0]).encode())
-                writer.close()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            writer.close()
-            results = _run_checks(others, kmax)
-            data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            pid = 0
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0 and data:  # a check may itself call os._exit(0) before the write
-        return tuple(json.loads(data)), results
-    how = "killed by signal %d" % -code if code < 0 else "exit status %d" % code
-    return (entry[0], False, "%s: crashed: child %s" % (entry[0], how)), results
-
-
-def run(kmax):
-    """Run every check in CHECKS; returns (all_passed, results).
-
-    results is a list of (name, passed, detail), one per check in order,
-    with detail empty on success and "<name>: ..." on failure.  Where
-    os.fork exists, the entry whose function is check_per_level_agreement
-    itself (not a wrapper of it) runs in a forked child beside the rest.
-    """
-    if kmax < 3:
-        raise DomainError("kmax must be >= 3 (the delta_k sweep starts at k = 3)")
-    entries = list(CHECKS)
-    i = next((i for i, (_, fn) in enumerate(entries) if fn is check_per_level_agreement), None)
-    if i is None or not hasattr(os, "fork"):
-        results = _run_checks(entries, kmax)
-    else:
-        forked, results = _run_beside(entries[i], entries[:i] + entries[i + 1:], kmax)
-        results.insert(i, forked)
     return all(ok for _, ok, _ in results), results

@@ -5,10 +5,8 @@ entered, under `sys.setprofile`, while these run in this process:
 
 * every argv of `tests/test_golden.py`'s GOLDEN;
 * one argv that exits 2 (an argument error);
-* `selfcheck --kmax 3` with one planted failing check, which exits 3 and
-  forks as the command does;
-* `selfcheck.run(3)` with `os.fork` hidden, so that the check the command
-  forks runs here, where its calls are recorded.
+* `selfcheck --kmax 3` with one planted failing check, which runs every
+  other check in this process and exits 3.
 
 A function that none of these reaches fails the run unless README's
 "Library entry points" section lists it, as `module.qualname`; a listed name
@@ -77,7 +75,7 @@ def reached_functions():
     def planted(kmax):
         raise selfcheck.CheckFailure("planted")
 
-    checks, fork = selfcheck.CHECKS, os.fork
+    checks = selfcheck.CHECKS
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv, _ in GOLDEN:
@@ -88,13 +86,9 @@ def reached_functions():
             selfcheck.CHECKS = checks + (("planted failure", planted),)
             if cli.main(["selfcheck", "--kmax", "3"]) != 3:
                 raise SystemExit("a failing selfcheck did not exit 3")
-            selfcheck.CHECKS = checks
-            del os.fork
-            if not selfcheck.run(3)[0]:
-                raise SystemExit("selfcheck.run(3) failed")
     finally:
         sys.setprofile(None)
-        selfcheck.CHECKS, os.fork = checks, fork
+        selfcheck.CHECKS = checks
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
 
 

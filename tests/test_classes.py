@@ -1,7 +1,6 @@
-import os
+import inspect
 import random
-import signal
-import time
+import re
 from collections import Counter
 
 import pytest
@@ -205,8 +204,9 @@ def test_level_case_counts_are_closed_form_weights():
 
 
 def test_per_level_sweep_evaluates_every_level(monkeypatch):
-    # the per-level check samples the case table at every (k, L, p, q) and
-    # compares with f_closed_d once per (k, p, q); it does not count cases
+    # the per-level check samples the case table at every (k, L, p, q) of its
+    # proof points and its sweep, and compares with f_closed_d once per
+    # (k, p, q); it does not count cases
     calls = {"_level_form": 0, "f_closed_d": 0}
 
     def counted(name, fn):
@@ -218,8 +218,13 @@ def test_per_level_sweep_evaluates_every_level(monkeypatch):
     monkeypatch.setattr(classes, "_level_form", counted("_level_form", classes._level_form))
     monkeypatch.setattr(selfcheck, "f_closed_d", counted("f_closed_d", selfcheck.f_closed_d))
     selfcheck.check_per_level_agreement(8)
-    # sum of (k-1)^3 and of (k-1)^2 over 2 <= k <= 8
-    assert calls == {"_level_form": 784, "f_closed_d": 140}
+    # sum of (k-1)^3 and of (k-1)^2 over 2 <= k <= 8, plus k-1 levels and one
+    # closed form at each of the 11 proof points
+    assert calls == {"_level_form": 784 + 213, "f_closed_d": 140 + 11}
+    # the sweep stops at k = 12: sum of (k-1)^2 over 2 <= k <= 12
+    calls["f_closed_d"] = 0
+    selfcheck.check_per_level_agreement(30)
+    assert calls["f_closed_d"] == 506 + 11
 
 
 def test_skew_check_catches_a_corrupt_entry_on_either_side(monkeypatch):
@@ -262,13 +267,40 @@ def test_per_level_check_catches_a_level_changed_inside_a_run(monkeypatch):
     with pytest.raises(selfcheck.CheckFailure) as exc:
         selfcheck.check_per_level_agreement(6)
     assert str(exc.value) == "k=%d p=%d q=%d" % (k, p, q)
-    # run forks this check into a child, which reports the same detail
+    # run reports the same detail under the check's name
     assert [r for r in selfcheck.run(6)[1] if not r[1]] == [
         ("per-level agreement", False, "per-level agreement: %s" % exc.value)]
     # a distinct object of equal value splits the run but not the sum
     patched, _ = _replace_mid_run(lambda level: DClass(dict(level.terms)))
     monkeypatch.setattr(selfcheck, "f_levels_d", patched)
     selfcheck.check_per_level_agreement(6)
+
+
+# one comparison of _level_form or one weight of _f_closed changed: the proof
+# points alone must name each, so the detail names a k >= 20
+PER_LEVEL_MUTANTS = [
+    ("_level_form", "big_p = p >= k - level", "big_p = p > k - level"),
+    ("_level_form", "big_q = q >= level", "big_q = q > level"),
+    ("_level_form", '"IIr" if p + q >= k', '"IIr" if p + q > k'),
+    ("_level_form", '"IIb" if p + q >= k', '"IIb" if p + q > k'),
+    ("_f_closed", "c * (k - p - 1)", "c * (k - p)"),
+    ("_f_closed", "c * (p + q + 1 - k)", "c * (p + q - k)"),
+    ("_f_closed", '"IIre", p, q, c * p)', '"IIre", p, q, c * q)'),
+]
+
+
+def test_per_level_proof_points_name_each_mutant(monkeypatch):
+    for name, old, new in PER_LEVEL_MUTANTS:
+        source = inspect.getsource(getattr(classes, name))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(classes))
+        exec(source.replace(old, new), namespace)
+        with monkeypatch.context() as m:
+            m.setattr(classes, name, namespace[name])
+            with pytest.raises(selfcheck.CheckFailure) as exc:
+                selfcheck.check_per_level_agreement(3)
+        assert int(re.fullmatch(r"k=(\d+) p=\d+ q=\d+", str(exc.value))[1]) >= 20, new
+    selfcheck.check_per_level_agreement(3)
 
 
 def _serial_run(kmax):
@@ -286,59 +318,9 @@ def _serial_run(kmax):
     return all(ok for _, ok, _ in results), results
 
 
-def test_runner_matches_the_serial_reference(monkeypatch):
+def test_runner_matches_the_serial_reference():
     for k in range(3, 9):
-        want = _serial_run(k)
-        assert selfcheck.run(k) == want, k
-        with monkeypatch.context() as m:  # no os.fork: every check runs here
-            m.delattr(os, "fork")
-            assert selfcheck.run(k) == want, k
-
-
-def test_runner_reports_a_dead_child_as_crashed(monkeypatch):
-    want = _serial_run(6)[1]
-    i = [name for name, _ in selfcheck.CHECKS].index("per-level agreement")
-    for die, how in ((lambda: os._exit(7), "exit status 7"),
-                     (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
-        monkeypatch.setattr(selfcheck, "f_levels_d", lambda *args, die=die: die())
-        ok, results = selfcheck.run(6)
-        assert not ok
-        assert results[i] == ("per-level agreement", False,
-                              "per-level agreement: crashed: child %s" % how)
-        assert results[:i] + results[i + 1:] == want[:i] + want[i + 1:]
-        with pytest.raises(ChildProcessError):  # reaped: no child is left
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_runner_kills_the_child_when_the_caller_raises(monkeypatch):
-    def interrupted(kmax):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(selfcheck, "f_levels_d", lambda *args: time.sleep(60))
-    monkeypatch.setattr(selfcheck, "CHECKS", (("interrupted", interrupted),) + selfcheck.CHECKS)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        selfcheck.run(6)
-    assert time.monotonic() - start < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_runner_keeps_a_wrapped_entry_in_the_caller(monkeypatch):
-    # a wrapper is not check_per_level_agreement itself, so it is not forked
-    # and what it records stays visible to the caller
-    pids = []
-
-    def wrap(fn):
-        def wrapper(kmax):
-            pids.append(os.getpid())
-            return fn(kmax)
-        return wrapper
-
-    monkeypatch.setattr(selfcheck, "CHECKS",
-                        tuple((name, wrap(fn)) for name, fn in selfcheck.CHECKS))
-    assert selfcheck.run(3) == _serial_run(3)
-    assert pids == [os.getpid()] * 2 * len(selfcheck.CHECKS)
+        assert selfcheck.run(k) == _serial_run(k), k
 
 
 def test_twist_matches_scaled_sum():

@@ -316,7 +316,12 @@ def test_validation_exit_codes(capsys, tmp_path):
                  ["delta", "--k", "4", "--output", ""],
                  ["lambda", "reduce", "--w0", "1", "--n", "3",
                   "--poly", '{"terms": [{"e": 1.0, "c": "1"}]}'],
-                 ["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": true, "c": "1"}]}']):
+                 ["cover", "apply", "--m", "2", "--alpha", '{"terms": [{"i": true, "c": "1"}]}'],
+                 # argv integers follow the payloads' decimal rule
+                 ["twist", "--k", "3", "--v=1_0,1", "--w=1,1"],
+                 ["twist", "--k", "3", "--v=1, 1", "--w=1,1"],
+                 ["lambda", "structure", "--w0", "1", "--n", "3", "--window=-1_0,20"],
+                 ["whitehead", "relators", "--n", "3", "--window=0,+1"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
@@ -325,10 +330,15 @@ def test_validation_exit_codes(capsys, tmp_path):
                  ["orbit", "structure", "structure", "--alpha", "1"], ["orbit", "--alpha", "1"],
                  ["delta", "--k", "4", "--bogus"], ["delta", "--k", "4", "a\nb"],
                  ["delta", "--k", "4", "--output", str(tmp_path / "missing" / "a\nb")],
-                 ["no-such-command"]):
+                 ["no-such-command"], ["fk", "--k", "+3"], ["selfcheck", "--kmax", " 3"],
+                 ["fk", "--k", "3", "--seed", "1_0"]):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    # int() would read these as 10 and 3; argparse's wording stays
+    for value in ("1_0", "\u0663"):
+        assert run_cli(capsys, ["fk", "--k", value]) == (
+            2, "", "error: barbell fk: argument --k: invalid int value: %r\n" % value)
     assert run_cli(capsys, ["fk"]) == (
         2, "", "error: barbell fk: the following arguments are required: --k\n")
     # a library DomainError in a payload reads as its message, not as its repr

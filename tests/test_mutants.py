@@ -40,6 +40,16 @@ MUTANTS = [
      "                self.rows[j], v = v, row\n",
      "                self.rows[j], v = v, {}\n",
      "snf certificate"),
+    # a level case and a closed-form weight off by one: per-level agreement
+    # names both at its proof points, which it checks before its sweep
+    ("src/barbell/classes.py",
+     '        return "IIr" if p + q >= k else "IIre"\n',
+     '        return "IIr" if p + q > k else "IIre"\n',
+     "per-level agreement"),
+    ("src/barbell/classes.py",
+     "c * (k - p - 1)",
+     "c * (k - p)",
+     "per-level agreement"),
 ]
 
 

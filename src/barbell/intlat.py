@@ -90,19 +90,17 @@ class QuotientStructure(namedtuple("QuotientStructure", "free_rank torsion")):
 
 
 def _pivot_search(a, t, rows, cols):
-    # first entry (row-major) of minimal nonzero absolute value in a[t:, t:]
+    # first entry (row-major) of minimal nonzero absolute value in a[t:, t:]:
+    # each row's least, by builtins, at its first column
     best = None
     best_abs = None
     for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            v = ai[j]
-            if v:
-                av = -v if v < 0 else v
-                if best_abs is None or av < best_abs:
-                    best, best_abs = (i, j), av
-                    if av == 1:
-                        return best
+        row = list(map(abs, a[i][t:cols]))
+        av = min(filter(None, row), default=None)
+        if av is not None and (best_abs is None or av < best_abs):
+            best, best_abs = (i, t + row.index(av)), av
+            if av == 1:
+                return best
     return best
 
 
@@ -122,18 +120,22 @@ def _combine(a, u, t, i):
     # one 2x2 transform on rows (t, i) of a and of u: gcd(a[t][t], a[i][t])
     # lands at (t, t) and zero at (i, t); both rows of a are zero left of t.
     # When p | q row t must stay: the extended-gcd (x, y) can differ from (1, 0)
+    # Only columns where a row is nonzero are touched.
     p, q = a[t][t], a[i][t]
     pairs = ((a[t], a[i], t), (u[t], u[i], 0))
     if q % p == 0:
         f = q // p
         for r, s, start in pairs:
             for j in range(start, len(r)):
-                s[j] -= f * r[j]
+                if r[j]:
+                    s[j] -= f * r[j]
         return
     x, y, z, w = _gcd_step(p, q)
     for r, s, start in pairs:
         for j in range(start, len(r)):
-            r[j], s[j] = x * r[j] + y * s[j], z * r[j] + w * s[j]
+            rj, sj = r[j], s[j]
+            if rj or sj:
+                r[j], s[j] = x * rj + y * sj, z * rj + w * sj
 
 
 def _clear(a, u, t, lines):
@@ -174,17 +176,20 @@ def smith_normal_form(m):
             # each column operation touches only column t and its partner,
             # so the partners are fixed before the sweep; rows above t are zero
             js = [j for j in range(t + 1, cols) if a[t][j]]
-            lines = {j: [row[j] for row in a] for j in [t] + js}
-            _clear(lines, vt, t, js)
-            for j, line in lines.items():
-                for i in range(t, rows):
-                    a[i][j] = line[i]
-            # a column combine may resurrect entries below the pivot
-            if any(a[i][t] for i in range(t + 1, rows)):
-                continue
-            # the pivot must divide the remaining block; if it does not,
-            # fold the offending row in and restart the clearing loop
+            if js:
+                lines = {j: [row[j] for row in a] for j in [t] + js}
+                _clear(lines, vt, t, js)
+                for j, line in lines.items():
+                    for i in range(t, rows):
+                        a[i][j] = line[i]
+                # a column combine may resurrect entries below the pivot
+                if any(a[i][t] for i in range(t + 1, rows)):
+                    continue
+            # the pivot must divide the remaining block (a unit always does);
+            # if it does not, fold the offending row in and restart the loop
             p = a[t][t]
+            if p in (1, -1):
+                break
             offender = None
             for i in range(t + 1, rows):
                 ai = a[i]

@@ -15,10 +15,11 @@ classes, with one term per D instead of four.  The delta expansion
 check still compares the G-valued f_closed with its independent 8-term
 G expansion, so it also covers DClass.expand.
 
-Per-level agreement is proved for every k at eleven fixed points (see
-check_per_level_agreement), so its sweep stops at LEVEL_SWEEP_KMAX; skew
-symmetry and the total sum stay sampled to kmax.  run(kmax) runs every
-check in order in the calling process.
+All three are proved for every k: per-level agreement at eleven fixed
+points and skew symmetry at 28 (see their docstrings), and the total sum
+follows from skew symmetry.  So their sweeps stop at SWEEP_KMAX, and
+kmax deepens only the sweeps below it and the delta expansion.
+run(kmax) runs every check in order in the calling process.
 
 The relator oracles span term dicts keyed by monomial.  Normal-form
 soundness spans the k_relator instances of a box that holds every orbit
@@ -44,7 +45,7 @@ from .whitehead import DegNElem, bracket, deg_n_gen, facet_map, pair_bracket
 
 SEED = 20210426  # base seed of every sampled check
 SAMPLES = 60      # random polynomials per (W0, n) in the lambda oracle check
-LEVEL_SWEEP_KMAX = 12  # per-level agreement is proved for every k; its sweep stops here
+SWEEP_KMAX = 12  # the F_k identities are proved for every k; their sweeps stop here
 
 
 class CheckFailure(Exception):
@@ -319,17 +320,78 @@ def check_torsion_factors(kmax):
                                    % ((st.torsion,) + orbit.rep))
 
 
+def _skew_region(k, p, q):
+    # the region of skew symmetry's lemma that holds (k, p, q), 1 <= p <= q
+    line = ("q = p" if q == p else "p < q < 2p" if q < 2 * p
+            else "q = 2p" if q == 2 * p else "q > 2p")
+    return line, "p + q >= k" if p + q >= k else "p + q < k"
+
+
+# affinely independent points of each region of check_skew_symmetry's lemma
+_SKEW_RAYS = ("q = p", "q = 2p")
+_SKEW_POINTS = (
+    (("q = p", "p + q < k"), ((20, 1, 1), (20, 2, 2), (21, 1, 1))),
+    (("q = p", "p + q >= k"), ((20, 10, 10), (20, 11, 11), (21, 11, 11))),
+    (("p < q < 2p", "p + q < k"), ((20, 2, 3), (20, 3, 4), (20, 3, 5), (21, 2, 3))),
+    (("p < q < 2p", "p + q >= k"), ((20, 7, 13), (20, 8, 12), (20, 8, 13), (21, 8, 13))),
+    (("q = 2p", "p + q < k"), ((20, 1, 2), (20, 2, 4), (21, 1, 2))),
+    (("q = 2p", "p + q >= k"), ((20, 7, 14), (20, 8, 16), (21, 7, 14))),
+    (("q > 2p", "p + q < k"), ((20, 1, 3), (20, 1, 4), (20, 2, 5), (21, 1, 3))),
+    (("q > 2p", "p + q >= k"), ((20, 1, 19), (20, 2, 18), (20, 2, 19), (21, 1, 20))),
+)
+
+
 def check_skew_symmetry(kmax):
-    for k in range(2, kmax + 1):
-        for p in range(1, k):
-            for q in range(p, k):  # the identity is symmetric in (p, q)
-                if not (f_closed_d(k, p, q) + f_closed_d(k, q, p)).is_zero():
-                    raise CheckFailure("F_%d(%d,%d) + F_%d(%d,%d) != 0"
-                                       % (k, p, q, k, q, p))
+    """F_k(p, q) + F_k(q, p) = 0 in the D basis, for every k.
+
+    Lemma.  _f_closed(k, p, q, c) returns D pairs whose raw keys are
+    linear forms in (p, q) and whose weights are affine in (k, p, q) on
+    each chamber, p + q < k and p + q >= k; swapping p and q keeps the
+    chamber.  DClass puts each key in canonical form by the signs of
+    x + y and x - y, and drops keys with x + y = 0.  For the raw keys of
+    F(p, q) + F(q, p) with 1 <= p <= q, those signs change only on the
+    lines q = p and q = 2p, and two canonical keys coincide only on
+    those lines too.  That gives 8 regions: the cones p < q < 2p and
+    q > 2p and the rays q = p and q = 2p, each in both chambers.  On
+    each, F(p, q) + F(q, p) = sum_j a_j D(M_j), where the M_j are fixed
+    linear keys, canonical, distinct and kept at every point of the
+    region, and the a_j are affine.  So where the sum vanishes, every a_j
+    does, and zeros at 4 affinely independent points of a region (3 on a
+    ray) make every a_j vanish on all of it: the identity holds for
+    every k.
+
+    The check verifies that each point of _SKEW_POINTS lies in its
+    region with 1 <= p <= q < k and that each region's points are
+    affinely independent, then the identity there and at every (k, p, q)
+    with k <= min(kmax, SWEEP_KMAX).
+    """
+    for region, points in _SKEW_POINTS:
+        diffs = [[a - b for a, b in zip(pt, points[0])] for pt in points[1:]]
+        dim = 2 if region[0] in _SKEW_RAYS else 3
+        if len(diffs) != dim or rank_over_rationals(IntMatrix(dim, 3, diffs)) != dim:
+            raise CheckFailure("points of region %s, %s not affinely independent" % region)
+        for k, p, q in points:
+            if not 1 <= p <= q < k or _skew_region(k, p, q) != region:
+                raise CheckFailure("k=%d p=%d q=%d outside region %s, %s"
+                                   % ((k, p, q) + region))
+    # the identity is symmetric in (p, q), so each unordered pair is taken once
+    sweep = ((k, p, q) for k in range(2, min(kmax, SWEEP_KMAX) + 1)
+             for p in range(1, k) for q in range(p, k))
+    for k, p, q in chain((pt for _, points in _SKEW_POINTS for pt in points), sweep):
+        if not (f_closed_d(k, p, q) + f_closed_d(k, q, p)).is_zero():
+            raise CheckFailure("F_%d(%d,%d) + F_%d(%d,%d) != 0" % (k, p, q, k, q, p))
 
 
 def check_total_sum_vanishes(kmax):
-    for k in range(2, kmax + 1):
+    """The entries of F_k sum to zero, for every k.
+
+    Corollary of check_skew_symmetry's lemma.  The sum over all (p, q) is
+    sum_{p < q} (F(p, q) + F(q, p)) + sum_p F(p, p).  Skew symmetry makes
+    each bracket zero and gives 2 F(p, p) = 0, which over Z forces
+    F(p, p) = 0.  So the total sum vanishes wherever skew symmetry
+    holds, which is every k; the sweep stops at min(kmax, SWEEP_KMAX).
+    """
+    for k in range(2, min(kmax, SWEEP_KMAX) + 1):
         total = DClass.sum(f_closed_d(k, p, q) for p in range(1, k) for q in range(1, k))
         if not total.is_zero():
             raise CheckFailure("sum of F_%d is %r" % (k, total.expand()))
@@ -362,8 +424,7 @@ def check_per_level_agreement(kmax):
     count_X - w_X vanish on all of it: the identity holds for every k.
 
     The check verifies that lemma's conditions at _LEVEL_POINTS, then the
-    identity there and at every (k, p, q) with k <= min(kmax,
-    LEVEL_SWEEP_KMAX).
+    identity there and at every (k, p, q) with k <= min(kmax, SWEEP_KMAX).
     """
     for sign, points in _LEVEL_POINTS:
         diffs = [[a - b for a, b in zip(pt, points[0])] for pt in points[1:]]
@@ -376,7 +437,7 @@ def check_per_level_agreement(kmax):
                                     for form in ROMAN_FORMS)
             if len(romans.rows) != len(ROMAN_FORMS):
                 raise CheckFailure("k=%d p=%d q=%d: roman forms dependent" % (k, p, q))
-    sweep = ((k, p, q) for k in range(2, min(kmax, LEVEL_SWEEP_KMAX) + 1)
+    sweep = ((k, p, q) for k in range(2, min(kmax, SWEEP_KMAX) + 1)
              for p in range(1, k) for q in range(1, k))
     for k, p, q in chain((pt for _, points in _LEVEL_POINTS for pt in points), sweep):
         if DClass.sum(f_levels_d(k, p, q)) != f_closed_d(k, p, q):

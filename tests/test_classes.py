@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 import re
@@ -301,6 +302,79 @@ def test_per_level_proof_points_name_each_mutant(monkeypatch):
                 selfcheck.check_per_level_agreement(3)
         assert int(re.fullmatch(r"k=(\d+) p=\d+ q=\d+", str(exc.value))[1]) >= 20, new
     selfcheck.check_per_level_agreement(3)
+
+
+# one weight of _f_closed or one sign of _roman changed: the skew-symmetry
+# proof points alone must name each, so the detail names a k >= 20
+SKEW_MUTANTS = [
+    ("_f_closed", "c * (k - p - 1)", "c * (k - p)"),
+    ("_f_closed", "c * (k - q - 1)", "c * (k - q)"),
+    ("_f_closed", '"IIre", p, q, c * p)', '"IIre", p, q, c * q)'),
+    ("_f_closed", '"IIbe", p, q, c * q)', '"IIbe", p, q, c * p)'),
+    ("_roman", "((p + q, -q), -c)", "((p + q, -q), c)"),
+    ("_roman", "((p - q, q), -c), ((p, q), c)", "((p - q, q), c), ((p, q), c)"),
+    ("_roman", "((-p - q, p), -c)", "((-p - q, p), c)"),
+    ("_roman", "((p - q, -p), -c), ((-q, -p)", "((p - q, -p), c), ((-q, -p)"),
+    ("_roman", "((p - q, -p), -c)]", "((p - q, -p), c)]"),
+    ("_roman", "((p - q, q), -c)]", "((p - q, q), c)]"),
+]
+
+
+def test_skew_proof_points_name_each_mutant(monkeypatch):
+    for name, old, new in SKEW_MUTANTS:
+        source = inspect.getsource(getattr(classes, name))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(classes))
+        exec(source.replace(old, new), namespace)
+        with monkeypatch.context() as m:
+            m.setattr(classes, name, namespace[name])
+            with pytest.raises(selfcheck.CheckFailure) as exc:
+                selfcheck.check_skew_symmetry(3)
+        detail = re.fullmatch(r"F_(\d+)\((\d+),(\d+)\) \+ F_\1\(\3,\2\) != 0", str(exc.value))
+        assert int(detail[1]) >= 20, new
+    selfcheck.check_skew_symmetry(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical(key):
+    # DClass's canonical key and sign for a raw key, (None, 0) if it is dropped
+    return next(iter(DClass({key: 1}).terms.items()), (None, 0))
+
+
+def _skew_pattern(k, p, q):
+    # which raw pairs of F(p, q) + F(q, p) share a canonical D key, and with
+    # what sign: for each pair, its sign (0 if dropped) and the index of the
+    # first pair with its key
+    raw = classes._f_closed(k, p, q, 1) + classes._f_closed(k, q, p, 1)
+    canon = [_canonical(key) for key, _ in raw]
+    first = {}
+    return tuple((c, first.setdefault(key, i) if key else None)
+                 for i, (key, c) in enumerate(canon))
+
+
+def test_skew_pattern_is_constant_on_each_region():
+    # the premise of check_skew_symmetry's lemma, and its 8 regions
+    patterns = {}
+    for k in range(3, 90):
+        for p in range(1, k):
+            for q in range(p, k):
+                pattern = _skew_pattern(k, p, q)
+                region = selfcheck._skew_region(k, p, q)
+                assert patterns.setdefault(region, pattern) == pattern, (k, p, q)
+    assert set(patterns) == {region for region, _ in selfcheck._SKEW_POINTS}
+
+
+def test_skew_and_total_sum_sweeps_stop_at_the_cap(monkeypatch):
+    # two entries per unordered pair at the 28 proof points and at k <= 12;
+    # the total sum takes each entry once for k <= 12
+    calls = []
+    good = selfcheck.f_closed_d
+    monkeypatch.setattr(selfcheck, "f_closed_d", lambda *args: calls.append(args) or good(*args))
+    selfcheck.check_skew_symmetry(30)
+    assert len(calls) == 2 * (28 + 286)
+    calls.clear()
+    selfcheck.check_total_sum_vanishes(30)
+    assert len(calls) == 506
 
 
 def _serial_run(kmax):

@@ -50,6 +50,11 @@ MUTANTS = [
      "c * (k - p - 1)",
      "c * (k - p)",
      "per-level agreement"),
+    # a sign flip in a roman form: skew symmetry names it at its proof points
+    ("src/barbell/classes.py",
+     "((p + q, -q), -c)",
+     "((p + q, -q), c)",
+     "skew symmetry"),
 ]
 
 
